@@ -2,7 +2,7 @@
 """Regenerate every figure dataset and SVG into figures_out/ (or argv[1]).
 
 Thin wrapper over the CLI so the gallery is reproducible with one command;
-expect a few minutes for the two large-window nodal-line figures.
+each figure prints its own wall time.
 """
 
 import sys

@@ -1,7 +1,9 @@
 """Command-line surface: evaluation, zero tables, coefficients, figures, verify.
 
 Exit codes: 0 success, 1 verification violation, 2 argument error (argparse's
-own convention), 3 numerical failure (tolerance not met or overflow guard).
+own convention, also used when the library rejects an input value with
+ValueError or TypeError), 3 numerical failure (tolerance not met or overflow
+guard).
 
 An optional line-oriented configuration file (``key = value``, ``#``
 comments) supplies defaults; explicit flags always win.  Keys use the flag
@@ -334,11 +336,14 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # pre-scan for --config so its values become overridable defaults
-    if "--config" in argv:
-        at = argv.index("--config")
+    # pre-scan for --config FILE / --config=FILE so its values become
+    # overridable defaults
+    at = next((i for i, arg in enumerate(argv)
+               if arg == "--config" or arg.startswith("--config=")), None)
+    if at is not None:
+        _, inline, path = argv[at].partition("=")
         try:
-            extra = _load_config_args(argv[at + 1])
+            extra = _load_config_args(path if inline else argv[at + 1])
         except (OSError, ValueError, IndexError) as exc:
             parser.error(f"bad configuration file: {exc}")
         head, tail = argv[:1], argv[1:]
@@ -355,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except SuperGaussError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, TypeError) as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

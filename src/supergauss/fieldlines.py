@@ -9,7 +9,8 @@ Extraction is marching squares with linear interpolation on a sampled grid,
 with the two ambiguous saddle cases disambiguated by one extra evaluation at
 the cell center.  Vertices are then polished by one-dimensional Newton steps
 along the field gradient, which is available exactly through the first
-derivative of the transform (d/dw = F', d/dsigma = -i F').
+derivative of the transform (d/dw = F', d/dsigma = -i F'); all vertices of a
+line step together, with F and F' taken from the same quadrature nodes.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NewtonStallError, NotAZeroError
+from .errors import NewtonStallError, NotAZeroError, ToleranceNotMetError
 from .transform import (
     PlanePoint,
     QuadratureSpec,
+    _point_moments,
+    _rotate,
     check_kernel_index,
     eval_derivative,
     eval_transform,
@@ -39,6 +42,10 @@ I_LINE = "I"
 _SNAP_FACTOR = 4.0
 
 _AXIS_TOL = 1e-9
+
+# Segments per block of the intersection audit; the pairwise distance arrays
+# of one block pair are _AUDIT_CHUNK**2 entries.
+_AUDIT_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -250,51 +257,69 @@ def _axis_lines(grid: GridField, which: str) -> list[FieldLine]:
     return out
 
 
-def _gradient(n: int, which: str, p: PlanePoint, q: QuadratureSpec):
-    """(d/dsigma, d/dw) of the chosen component, from F'."""
-    d = eval_derivative(n, 1, p, q)
+def _gradient_from_derivative(which: str, d_re, d_im):
+    """(d/dsigma, d/dw) of the chosen component, from F' = d_re + i d_im."""
     if which == R_LINE:
-        return d.im, d.re, d.err_estimate     # R_sigma = Im F', R_w = Re F'
-    return -d.re, d.im, d.err_estimate         # I_sigma = -Re F', I_w = Im F'
+        return d_im, d_re       # R_sigma = Im F', R_w = Re F'
+    return -d_re, d_im          # I_sigma = -Re F', I_w = Im F'
+
+
+def _gradient(n: int, which: str, p: PlanePoint, q: QuadratureSpec):
+    """(d/dsigma, d/dw) of the chosen component at p, and the error of F'."""
+    d = eval_derivative(n, 1, p, q)
+    return (*_gradient_from_derivative(which, d.re, d.im), d.err_estimate)
 
 
 def refine_field_line(n: int, line: FieldLine, q: QuadratureSpec,
                       max_steps: int = 12) -> FieldLine:
     """Newton-polish every vertex along the local field gradient.
 
-    Convergence target is |field| <= q.tol * magnitude_scale(n, sigma); the
-    reported max_residual is the worst |field| / scale over the vertices.  A
-    vanishing gradient off the axis is impossible for these transforms (the
+    All vertices step together: each pass evaluates F and F' (the t^1 moment
+    on the same nodes) at the vertices still moving, and drops those that
+    converged.  Convergence target is |field| <= q.tol * magnitude_scale(n,
+    sigma); the reported max_residual is the worst |field| / scale over the
+    vertices.  An estimate above that tolerance raises ToleranceNotMetError.
+    A vanishing gradient off the axis is impossible for these transforms (the
     derivative would need an off-axis zero), so it raises NewtonStallError.
     """
     n = check_kernel_index(n)
-    new_pts = []
-    worst = 0.0
-    for p in line.points:
-        sigma, w = p.sigma, p.w
-        resid = math.inf
-        for _ in range(max_steps):
-            scale = magnitude_scale(n, sigma)
-            qs = q.scaled(scale)
-            val = eval_transform(n, PlanePoint(w, sigma), qs)
-            g = val.re if line.which == R_LINE else val.im
-            resid = abs(g) / scale
-            if abs(g) <= q.tol * scale:
-                break
-            gs, gw, derr = _gradient(n, line.which, PlanePoint(w, sigma), qs)
-            norm2 = gs * gs + gw * gw
-            if math.sqrt(norm2) <= max(10 * derr, 1e-13 * scale):
-                if abs(sigma) > _AXIS_TOL:
-                    raise NewtonStallError(
-                        f"field gradient vanished at (sigma={sigma}, w={w}); "
-                        "an off-axis critical point would contradict the zero geometry")
-                break
-            step = g / norm2
-            sigma -= step * gs
-            w -= step * gw
-        worst = max(worst, resid)
-        new_pts.append(PlanePoint(w=w, sigma=sigma))
-    return FieldLine(which=line.which, points=tuple(new_pts), max_residual=worst)
+    pts = line.as_array()
+    sigma, w = pts[:, 0].copy(), pts[:, 1].copy()
+    resid = np.full(sigma.size, math.inf)
+    active = np.arange(sigma.size)
+    for _ in range(max_steps):
+        if active.size == 0:
+            break
+        s, ws = sigma[active], w[active]
+        scale = magnitude_scale(n, s)
+        tol = q.tol * scale
+        re, im, err = _point_moments(n, s, ws, scale, q, 1)
+        g = re[0] if line.which == R_LINE else im[0]
+        resid[active] = np.abs(g) / scale
+        moving = np.abs(g) > tol
+        short = (err[0] > tol) | (moving & (err[1] > tol))
+        if short.any():
+            i = int(np.argmax(short))
+            raise ToleranceNotMetError(
+                f"shared-node error estimates {err[0, i]:.3e} (F), {err[1, i]:.3e} (F') "
+                f"above tol {tol[i]:.3e} (n={n}, sigma={s[i]}, w={ws[i]})",
+                re=float(re[0, i]), im=float(im[0, i]), err_estimate=float(err[0, i]))
+        gs, gw = _gradient_from_derivative(line.which, *_rotate(1, re[1], im[1]))
+        norm2 = gs * gs + gw * gw
+        stalled = moving & (np.sqrt(norm2) <= np.maximum(10 * err[1], 1e-13 * scale))
+        off_axis = stalled & (np.abs(s) > _AXIS_TOL)
+        if off_axis.any():
+            i = int(np.argmax(off_axis))
+            raise NewtonStallError(
+                f"field gradient vanished at (sigma={s[i]}, w={ws[i]}); "
+                "an off-axis critical point would contradict the zero geometry")
+        moving &= ~stalled
+        step = g[moving] / norm2[moving]
+        active = active[moving]
+        sigma[active] -= step * gs[moving]
+        w[active] -= step * gw[moving]
+    new_pts = tuple(PlanePoint(w=float(wi), sigma=float(si)) for si, wi in zip(sigma, w))
+    return FieldLine(which=line.which, points=new_pts, max_residual=float(resid.max()))
 
 
 def asymptote_curves(n: int, branches: list[int],
@@ -346,6 +371,11 @@ def _segment_arrays(lines: list[FieldLine]):
     return np.vstack(starts), np.vstack(ends)
 
 
+def _dot(u, v):
+    """Dot product over a last axis of length 2."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
 def _segment_min_distances(a0, a1, b0, b1):
     """Pairwise minimum distance between segment sets [a0,a1] and [b0,b1].
 
@@ -355,11 +385,11 @@ def _segment_min_distances(a0, a1, b0, b1):
     d1 = (a1 - a0)[:, None, :]            # (na,1,2)
     d2 = (b1 - b0)[None, :, :]            # (1,nb,2)
     r = a0[:, None, :] - b0[None, :, :]
-    a = np.sum(d1 * d1, axis=2)
-    e = np.sum(d2 * d2, axis=2)
-    f = np.sum(d2 * r, axis=2)
-    c = np.sum(d1 * r, axis=2)
-    b = np.sum(d1 * d2, axis=2)
+    a = _dot(d1, d1)
+    e = _dot(d2, d2)
+    f = _dot(d2, r)
+    c = _dot(d1, r)
+    b = _dot(d1, d2)
     denom = a * e - b * b
     s = np.where(denom > 1e-30, (b * f - c * e) / np.where(denom > 1e-30, denom, 1.0), 0.0)
     s = np.clip(s, 0.0, 1.0)
@@ -372,7 +402,7 @@ def _segment_min_distances(a0, a1, b0, b1):
     pa = a0[:, None, :] + s[..., None] * d1
     pb = b0[None, :, :] + t[..., None] * d2
     diff = pa - pb
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = np.sqrt(_dot(diff, diff))
     return dist, 0.5 * (pa + pb)
 
 
@@ -381,28 +411,30 @@ def intersection_audit(r_lines: list[FieldLine], i_lines: list[FieldLine],
     """Near-intersections between the two refined families.
 
     Every pair of polyline segments is tested; pairs closer than the
-    proximity tolerance contribute their midpoint.  A clean geometry returns
-    points only on the axis |sigma| <= tolerance (or none at all when the
-    window excludes the axis).
+    proximity tolerance contribute their midpoint, in order of (R segment,
+    I segment).  R segments are taken in blocks of 128, and each block is
+    tested only against the I segments whose bounding boxes come within the
+    tolerance of the block's own (again 128 at a time), so the distance test
+    runs only where the two families come close.  A clean
+    geometry returns points only on the axis |sigma| <= tolerance (or none at
+    all when the window excludes the axis).
     """
     a0, a1 = _segment_arrays(r_lines)
     b0, b1 = _segment_arrays(i_lines)
-    hits: list[PlanePoint] = []
     if a0.size == 0 or b0.size == 0:
-        return hits
-    chunk = 2048
+        return []
+    b_lo, b_hi = np.minimum(b0, b1), np.maximum(b0, b1)
+    found = []
+    chunk = _AUDIT_CHUNK
     for ia in range(0, a0.shape[0], chunk):
         sa0, sa1 = a0[ia:ia + chunk], a1[ia:ia + chunk]
         lo_a = np.minimum(sa0, sa1).min(axis=0) - proximity_tol
         hi_a = np.maximum(sa0, sa1).max(axis=0) + proximity_tol
-        for ib in range(0, b0.shape[0], chunk):
-            sb0, sb1 = b0[ib:ib + chunk], b1[ib:ib + chunk]
-            lo_b = np.minimum(sb0, sb1).min(axis=0)
-            hi_b = np.maximum(sb0, sb1).max(axis=0)
-            if (hi_b < lo_a).any() or (lo_b > hi_a).any():
-                continue
-            dist, mid = _segment_min_distances(sa0, sa1, sb0, sb1)
+        near = np.nonzero(((b_hi >= lo_a) & (b_lo <= hi_a)).all(axis=1))[0]
+        for ib in range(0, near.size, chunk):
+            idx = near[ib:ib + chunk]
+            dist, mid = _segment_min_distances(sa0, sa1, b0[idx], b1[idx])
             ii, jj = np.nonzero(dist < proximity_tol)
-            for i, j in zip(ii, jj):
-                hits.append(PlanePoint(w=float(mid[i, j, 1]), sigma=float(mid[i, j, 0])))
-    return hits
+            found.extend((ia + i, idx[j], mid[i, j, 1], mid[i, j, 0]) for i, j in zip(ii, jj))
+    found.sort()
+    return [PlanePoint(w=float(w), sigma=float(sigma)) for _, _, w, sigma in found]

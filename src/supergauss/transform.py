@@ -8,10 +8,18 @@ are handled in the (w, sigma) coordinates z = w - i*sigma, in which
 Evaluation is composite Gauss-Legendre quadrature on a truncated symmetric
 interval [-T, T], with T chosen so the analytic tail bound is below half the
 requested tolerance.  Each panel is integrated at the working order and at
-double the order; the difference is the panel error estimate, and the worst
-panel is split until the global estimate meets the budget.  Within a panel,
-weighted terms are accumulated left to right with compensated summation;
-panel results are combined in index order, so results are deterministic.
+double the order; the difference is the panel error estimate.
+
+Single points (:func:`eval_transform`, :func:`eval_derivative`) split the
+worst panel until the estimate meets the budget; within a panel, weighted
+terms are accumulated left to right with compensated summation, and panel
+results are combined in index order.
+
+Grids (:func:`eval_transform_grid`) and batches of scattered points share one
+panel set per batch (:func:`_shared_rule`), sized for the batch's hardest
+point.  Their sums run in BLAS and NumPy order, so the rounding floor of
+their error estimates bounds that summation rather than a compensated one.
+Both paths are deterministic for a given input.
 
 For n = 1 the closed form sqrt(pi) * exp(-z^2/4) is provided as an oracle.
 """
@@ -126,19 +134,26 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x.copy(), w.copy()
 
 
-def peak_exponent(n: int, sigma: float) -> float:
-    """Maximum of -t^(2n) + sigma*t over the real line (0 when sigma = 0)."""
+def peak_exponent(n: int, sigma):
+    """Maximum of -t^(2n) + sigma*t over the real line (0 when sigma = 0).
+
+    The maximum sits at t* = (|sigma|/2n)^(1/(2n-1)), which gives the closed
+    form (2n-1) * (|sigma|/2n)^(2n/(2n-1)).  ``sigma`` may be a scalar (the
+    result is a float) or an array.
+    """
     n = check_kernel_index(n)
-    s = abs(float(sigma))
-    if s == 0.0:
-        return 0.0
-    tstar = (s / (2 * n)) ** (1.0 / (2 * n - 1))
-    return -(tstar ** (2 * n)) + s * tstar
+    s = np.abs(np.asarray(sigma, dtype=float))
+    pk = (2 * n - 1) * (s / (2 * n)) ** (2 * n / (2 * n - 1))
+    return float(pk) if pk.ndim == 0 else pk
 
 
-def magnitude_scale(n: int, sigma: float) -> float:
-    """exp(max(0, peak exponent)): the natural scale of |F| at this sigma."""
-    return math.exp(max(0.0, peak_exponent(n, sigma)))
+def magnitude_scale(n: int, sigma):
+    """exp(max(0, peak exponent)): the natural scale of |F| at this sigma.
+
+    ``sigma`` may be a scalar (the result is a float) or an array.
+    """
+    scale = np.exp(np.maximum(0.0, peak_exponent(n, sigma)))
+    return float(scale) if scale.ndim == 0 else scale
 
 
 def moment_scale(n: int, sigma: float, k: int) -> float:
@@ -379,15 +394,19 @@ def eval_derivative(n: int, k: int, p: PlanePoint, q: QuadratureSpec,
         raise ValueError(f"derivative order {k} above cap {k_cap}; "
                          "raise k_cap explicitly to accept degraded accuracy")
     re, im, err = _moment_batch(n, p.sigma, np.array([p.w]), k, q)
-    mre, mim, e = float(re[0]), float(im[0]), float(err[0])
+    return EvalResult(*_rotate(k, float(re[0]), float(im[0])), float(err[0]))
+
+
+def _rotate(k: int, re, im):
+    """(re, im) of i^k * (re + i*im), by exact component swaps (scalars or arrays)."""
     quadrant = k % 4
-    if quadrant == 0:
-        return EvalResult(mre, mim, e)
     if quadrant == 1:
-        return EvalResult(-mim, mre, e)
+        return -im, re
     if quadrant == 2:
-        return EvalResult(-mre, -mim, e)
-    return EvalResult(mim, -mre, e)
+        return -re, -im
+    if quadrant == 3:
+        return im, -re
+    return re, im
 
 
 def closed_form_gaussian(p: PlanePoint) -> EvalResult:
@@ -402,33 +421,129 @@ def closed_form_gaussian(p: PlanePoint) -> EvalResult:
     return EvalResult(re, im, 8.0 * _EPS * amp)
 
 
+# Shared-node batches: points per chunk of the scattered-point path, and the
+# float64 elements of one (panels, rows, 2 * len(w_axis)) product in the grid.
+_POINT_CHUNK = 256
+_GRID_CHUNK_ELEMS = 1 << 20
+
+
+def _shared_rule(n: int, sigma_max: float, w_max: float, k_max: int, tol_min: float,
+                 q: QuadratureSpec):
+    """One panel set on [-T, T] shared by every point of a batch.
+
+    T is the truncation radius at the batch's largest |sigma|, largest moment
+    order and smallest tolerance; T grows with each of them, so it covers
+    every point.  Panel widths follow the largest |w| and |sigma|, so each
+    point gets panels at least as fine as its own would be.  Returns the
+    tail bound at T for each moment order 0..k_max (each also bounds every
+    smaller |sigma|) and, for orders p and 2p, the nodes and weights, both of
+    shape (panels, order).
+    """
+    _guard_overflow(n, sigma_max)
+    if q.truncation_radius_override is not None:
+        T = q.truncation_radius_override
+    else:
+        T = truncation_radius(n, sigma_max, k_max, 0.5 * tol_min)
+    tails = [_tail_bound(n, sigma_max, k, T) for k in range(k_max + 1)]
+    edges = _panel_edges(T, w_max, sigma_max)
+    centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    rules = []
+    for order in (q.panel_order, 2 * q.panel_order):
+        x, gw = _gl_rule(order)
+        rules.append((centers + halves * x, halves * gw))
+    return tails, rules
+
+
+def _rounding_floor(rule_2p) -> float:
+    """Relative rounding bound of a shared-rule sum: per-panel dot products of
+    m terms in any (BLAS) order, then the sum over P panels."""
+    panels, m = rule_2p[0].shape
+    return (m + panels + 4) * _EPS
+
+
+def _per_panel(terms: np.ndarray, panels: int) -> np.ndarray:
+    """Sum (points, panels * m) node terms panel by panel into (points, panels)."""
+    return terms.reshape(terms.shape[0], panels, -1).sum(axis=2)
+
+
+def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, scale: np.ndarray,
+                   q: QuadratureSpec, k_max: int):
+    """Moments M_k(w_i - i sigma_i), k = 0..k_max, at scattered points.
+
+    Each chunk of at most 256 points shares one rule (:func:`_shared_rule`)
+    sized for the tolerances q.tol * scale.  The error estimate of each
+    point is the sum over panels of |order p - order 2p|, plus the tail bound
+    at the shared radius, plus the rounding floor.  Returns re, im and err,
+    each of shape (k_max + 1, len(sigma)).
+    """
+    out = np.empty((3, k_max + 1, sigma.size))
+    for c0 in range(0, sigma.size, _POINT_CHUNK):
+        sl = slice(c0, c0 + _POINT_CHUNK)
+        s, ws = sigma[sl, None], w[sl, None]
+        tails, rules = _shared_rule(n, float(np.abs(s).max()), float(np.abs(ws).max()),
+                                    k_max, float(q.tol * scale[sl].min()), q)
+        panels = rules[0][0].shape[0]
+        floor = _rounding_floor(rules[1])
+        terms = []
+        for t, wt in rules:
+            t = t.ravel()
+            a = wt.ravel() * np.exp(-t ** (2 * n) + s * t)        # (points, nodes)
+            terms.append((t, a, np.cos(ws * t), np.sin(ws * t)))
+        (t1, a1, cos1, sin1), (t2, a2, cos2, sin2) = terms
+        abs_phase = np.abs(cos2) + np.abs(sin2)
+        for k in range(k_max + 1):
+            if k:
+                a1, a2 = a1 * t1, a2 * t2
+            c1, s1 = _per_panel(a1 * cos1, panels), _per_panel(a1 * sin1, panels)
+            c2, s2 = _per_panel(a2 * cos2, panels), _per_panel(a2 * sin2, panels)
+            out[0, k, sl] = c2.sum(axis=1)
+            out[1, k, sl] = s2.sum(axis=1)
+            out[2, k, sl] = (np.hypot(c1 - c2, s1 - s2).sum(axis=1) + tails[k]
+                             + floor * (np.abs(a2) * abs_phase).sum(axis=1))
+    return out[0], out[1], out[2]
+
+
 def eval_transform_grid(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray,
-                        q: QuadratureSpec, k: int = 0):
+                        q: QuadratureSpec):
     """Vectorized transform evaluation on a (sigma, w) grid.
 
-    Rows share one panel set per sigma (sized by max |w|), so this is the
-    fast path for field sampling and zero scanning.  Returns (re, im, err)
-    arrays of shape (len(sigma_axis), len(w_axis)).  Per-row tolerances are
-    q.tol scaled by the row's magnitude scale; rows that cannot meet them
-    report honest error estimates rather than raising.
+    The integrand factorises as a(sigma, t) * e^{iwt}, so on one shared rule
+    (:func:`_shared_rule`, sized for the whole grid) the per-panel sums of a
+    block of rows are the batched matrix product A(rows x nodes) @
+    [cos | sin](nodes x w), one per panel.  Returns (re, im, err) arrays of
+    shape (len(sigma_axis), len(w_axis)).  Per-row tolerances are q.tol
+    scaled by the row's magnitude scale; rows that cannot meet them report
+    honest error estimates rather than raising.
     """
+    n = check_kernel_index(n)
     sigma_axis = np.asarray(sigma_axis, dtype=float)
     w_axis = np.asarray(w_axis, dtype=float)
-    R = np.empty((sigma_axis.size, w_axis.size))
+    nw = w_axis.size
+    tol = q.tol * magnitude_scale(n, sigma_axis)
+    tails, rules = _shared_rule(n, float(np.abs(sigma_axis).max()),
+                                float(np.abs(w_axis).max()), 0, float(tol.min()), q)
+    floor = _rounding_floor(rules[1])
+    phases = []
+    for t, _ in rules:
+        phase = t[:, :, None] * w_axis                          # (P, m, nw)
+        phases.append(np.concatenate([np.cos(phase), np.sin(phase)], axis=2))
+    panels = rules[1][0].shape[0]
+    abs_phase = (np.abs(phases[1][..., :nw]) + np.abs(phases[1][..., nw:])).reshape(-1, nw)
+
+    R = np.empty((sigma_axis.size, nw))
     I = np.empty_like(R)
     E = np.empty_like(R)
-    for i, s in enumerate(sigma_axis):
-        qrow = q.scaled(magnitude_scale(n, s))
-        chunk = 512
-        for j0 in range(0, w_axis.size, chunk):
-            sl = slice(j0, min(j0 + chunk, w_axis.size))
-            re, im, err = _moment_batch(n, float(s), w_axis[sl], k, qrow,
-                                        w_cap=float(np.max(np.abs(w_axis))))
-            R[i, sl], I[i, sl], E[i, sl] = re, im, err
-    if k % 4 == 1:
-        R, I = -I, R
-    elif k % 4 == 2:
-        R, I = -R, -I
-    elif k % 4 == 3:
-        R, I = I, -R
+    rows = max(1, _GRID_CHUNK_ELEMS // (panels * 2 * nw))
+    for r0 in range(0, sigma_axis.size, rows):
+        s = sigma_axis[None, r0:r0 + rows, None]
+        amps = [wt[:, None, :] * np.exp(-t[:, None, :] ** (2 * n) + s * t[:, None, :])
+                for t, wt in rules]                             # (P, rows, m)
+        (c1, s1), (c2, s2) = ((x[..., :nw], x[..., nw:])
+                              for x in map(np.matmul, amps, phases))   # (P, rows, 2 nw)
+        a2 = np.abs(amps[1]).transpose(1, 0, 2).reshape(s.shape[1], -1)
+        R[r0:r0 + rows] = c2.sum(axis=0)
+        I[r0:r0 + rows] = s2.sum(axis=0)
+        E[r0:r0 + rows] = (np.hypot(c1 - c2, s1 - s2).sum(axis=0) + tails[0]
+                           + floor * (a2 @ abs_phase))
     return R, I, E

@@ -67,15 +67,30 @@ class CriterionResult:
 
 
 def _timed(fn):
+    """Give a one-result criterion its wall time.
+
+    A criterion with several results times the stage behind each one itself
+    (see :class:`_Laps`), so no time is split or shared between results.
+    """
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         results = fn(*args, **kwargs)
-        dt = time.perf_counter() - t0
-        for r in results:
-            if r.seconds == 0.0:
-                r.seconds = dt / len(results)
+        if len(results) == 1:
+            results[0].seconds = time.perf_counter() - t0
         return results
     return wrapper
+
+
+class _Laps:
+    """Stopwatch for consecutive stages: each call returns the time since the last."""
+
+    def __init__(self):
+        self._last = time.perf_counter()
+
+    def __call__(self) -> float:
+        now = time.perf_counter()
+        elapsed, self._last = now - self._last, now
+        return elapsed
 
 
 @lru_cache(maxsize=4)
@@ -267,7 +282,11 @@ def _branch_line_w(n: int, branch: int, sigma: float, q: QuadratureSpec) -> floa
 
 @_timed
 def criterion_9_field_geometry() -> list[CriterionResult]:
+    """Three stages, each timed: the crossings and audit, the gaps of branches
+    0-2, and the gaps of branch 3 (whose value at sigma = 30 the size check
+    of C9.asymptote also reads)."""
     q = QuadratureSpec(tol=1e-10)
+    laps = _Laps()
     out = []
 
     # perpendicular crossings at the first five zeros
@@ -286,28 +305,31 @@ def criterion_9_field_geometry() -> list[CriterionResult]:
         "C9.geometry", "perpendicular crossings and off-axis audit",
         grad_ok and audit_ok,
         f"max |dw/dsigma| {worst_grad:.2e} (<=1e-3), "
-        f"audit hits {len(hits)} over {len(r_lines)}R x {len(i_lines)}I lines (=0)"))
+        f"audit hits {len(hits)} over {len(r_lines)}R x {len(i_lines)}I lines (=0)",
+        seconds=laps()))
 
     # asymptote gaps for branches 0..3
-    gaps = {}
-    for branch in range(4):
-        for sigma in (10.0, 30.0):
-            wl = _branch_line_w(2, branch, sigma, q)
-            wa = asymptote_w(2, branch, sigma)
-            gaps[(branch, sigma)] = abs(wl - wa) / wa
+    def gap(branch, sigma):
+        wa = asymptote_w(2, branch, sigma)
+        return abs(_branch_line_w(2, branch, sigma, q) - wa) / wa
+
+    gaps = {(b, sigma): gap(b, sigma) for b in range(3) for sigma in (10.0, 30.0)}
+    branches_s = laps()
+    gaps.update({(3, sigma): gap(3, sigma) for sigma in (10.0, 30.0)})
+    branch3_s = laps()
     small_ok = all(gaps[(b, 30.0)] <= 0.02 for b in range(4))
     trend02 = all(gaps[(b, 10.0)] > gaps[(b, 30.0)] for b in range(3))
     out.append(CriterionResult(
         "C9.asymptote", "asymptote gap size and trend, branches 0-2",
         small_ok and trend02,
         "gaps@30 " + " ".join(f"{gaps[(b, 30.0)]:.4f}" for b in range(4)) +
-        " (<=0.02); branches 0-2 decreasing from sigma=10"))
+        " (<=0.02); branches 0-2 decreasing from sigma=10", seconds=branches_s))
     b3 = gaps[(3, 10.0)] > gaps[(3, 30.0)]
     out.append(CriterionResult(
         "C9.branch3", "asymptote gap decreasing for branch 3", b3,
         f"gap@10 {gaps[(3, 10.0)]:.2e} vs gap@30 {gaps[(3, 30.0)]:.2e}: the line "
         "crosses its asymptote near sigma~10, so the stated decrease cannot hold",
-        known_infeasible=True))
+        seconds=branch3_s, known_infeasible=True))
     return out
 
 
@@ -348,13 +370,17 @@ def criterion_11_angular_momentum() -> list[CriterionResult]:
 
 @_timed
 def criterion_12_log_derivative() -> list[CriterionResult]:
+    """Timed per result: C12.w05 gets its own point, C12 the set-up and the
+    two feasible points."""
     q = QuadratureSpec(tol=1e-12)
+    laps = _Laps()
     pool = extended_zero_pool(2, 40)
     alphas = [r.alpha for r in pool]
     alpha1 = alphas[0]
     out = []
     feasible_ok = True
     feasible_detail = []
+    feasible_s = laps()
     for w, expected_feasible in ((0.5, False), (alpha1 + 0.3, True), (5.0, True)):
         lhs, lhs_err = log_derivative_lhs(2, w, q)
         sums = zero_pair_partial_sums(w, alphas)
@@ -365,16 +391,18 @@ def criterion_12_log_derivative() -> list[CriterionResult]:
         if expected_feasible:
             feasible_ok = feasible_ok and monotone and no_over and reach
             feasible_detail.append(f"w={w:.3f}: reach {sums[-1] / lhs:.4f}")
+            feasible_s += laps()
         else:
             out.append(CriterionResult(
                 "C12.w05", "partial sums reach 95% at w=0.5",
                 monotone and no_over and reach,
                 f"reach {sums[-1] / lhs:.4f} of LHS {lhs:.4f}: the tail beyond 40 "
                 "zero pairs is ~8.5% of the limit at this w, so 95% cannot be reached",
-                known_infeasible=True))
+                seconds=laps(), known_infeasible=True))
     out.insert(0, CriterionResult(
         "C12", "log-derivative identity partial sums", feasible_ok,
-        "monotone, no overshoot, " + ", ".join(feasible_detail) + " (>=0.95)"))
+        "monotone, no overshoot, " + ", ".join(feasible_detail) + " (>=0.95)",
+        seconds=feasible_s))
     return out
 
 

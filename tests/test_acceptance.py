@@ -82,6 +82,12 @@ def test_criterion_9_asymptote_gaps(field_geometry_results):
     assert r.passed, r.detail
 
 
+def test_criterion_9_stages_timed_separately(field_geometry_results):
+    # each result carries the wall time of its own stage, not a share of the total
+    times = [r.seconds for r in field_geometry_results.values()]
+    assert all(t > 0.0 for t in times) and len(set(times)) == len(times)
+
+
 @pytest.mark.xfail(strict=True, reason="the branch-3 field line crosses its asymptote "
                    "near sigma~10, so its gap cannot decrease from sigma=10 to 30")
 def test_criterion_9_branch3_trend(field_geometry_results):

@@ -125,6 +125,30 @@ def test_config_file_defaults_and_flag_wins(capsys, tmp_path):
     assert out.startswith("re,im")
 
 
+def test_config_file_inline_form(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\n")
+    code, out = run_cli(capsys, "eval", "--n", "1", "--w", "0", "--sigma", "0",
+                        f"--config={cfg}")
+    assert code == 0
+    assert json.loads(out)["re"] == pytest.approx(math.sqrt(math.pi), abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fieldlines", "--n", "2", "--window", "0:1,0:1", "--resolution", "1x5"],
+    ["eval", "--n", "7", "--w", "0", "--sigma", "0"],
+    ["eval", "--n", "2", "--w", "0", "--sigma", "0", "--tol", "-1"],
+    ["eval", "--n", "2", "--w", "nan", "--sigma", "0"],
+    ["orbit", "--n", "2", "--sigma", "1", "--v", "0", "--tmax", "1", "--dt", "0.1"],
+])
+def test_rejected_input_exit_code(capsys, argv):
+    # a value the library rejects is an argument error: code 2, one line, no traceback
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("argument error: ") and err.count("\n") == 1
+
+
 def test_fieldlines_csv_and_svg(capsys, tmp_path):
     out_csv = tmp_path / "lines.csv"
     out_svg = tmp_path / "lines.svg"

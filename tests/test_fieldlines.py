@@ -163,13 +163,24 @@ def test_newton_stall_surfaces_loudly(monkeypatch):
     # a vanishing off-axis gradient contradicts the zero geometry; force one
     from supergauss import fieldlines as fl
     from supergauss.errors import NewtonStallError
-    from supergauss.transform import EvalResult
 
-    monkeypatch.setattr(fl, "_gradient", lambda n, which, p, q: (0.0, 0.0, 0.0))
+    monkeypatch.setattr(fl, "_gradient_from_derivative",
+                        lambda which, d_re, d_im: (0.0 * d_re, 0.0 * d_im))
     line = FieldLine(which=R_LINE,
                      points=(PlanePoint(3.0, 1.0), PlanePoint(3.1, 1.1)))
     with pytest.raises(NewtonStallError):
         refine_field_line(2, line, Q)
+
+
+def test_refinement_raises_when_tolerance_not_met():
+    # a truncation radius short of the integrand peak leaves an infinite tail bound
+    from supergauss.errors import ToleranceNotMetError
+
+    q = QuadratureSpec(tol=1e-9, truncation_radius_override=0.5)
+    line = FieldLine(which=R_LINE,
+                     points=(PlanePoint(3.0, 1.0), PlanePoint(3.1, 1.1)))
+    with pytest.raises(ToleranceNotMetError):
+        refine_field_line(2, line, q)
 
 
 def test_saddle_cells_disambiguated_by_center_sign(monkeypatch):

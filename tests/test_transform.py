@@ -158,6 +158,18 @@ def test_grid_matches_scalar_within_errors():
         for j, w in enumerate(ws):
             want = closed_form_gaussian(PlanePoint(float(w), float(s)))
             assert abs(complex(R[i, j], I[i, j]) - want.value) <= E[i, j]
+    # rows from sigma = 0 to 20 would each pick a different truncation radius;
+    # on the grid they share one set of nodes
+    sig = np.linspace(0.0, 20.0, 9)
+    ws = np.linspace(-10.0, 10.0, 11)
+    for n in (2, 3):
+        R, I, E = eval_transform_grid(n, sig, ws, Q)
+        for i, s in enumerate(sig):
+            qs = Q.scaled(magnitude_scale(n, float(s)))
+            assert (E[i] <= qs.tol).all()
+            for j in (0, 3, 5, 8, 10):
+                want = eval_transform(n, PlanePoint(float(ws[j]), float(s)), qs)
+                assert abs(complex(R[i, j], I[i, j]) - want.value) <= E[i, j] + want.err_estimate
 
 
 @settings(max_examples=40, deadline=None)
