@@ -117,8 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_config(p):
         p.add_argument("--config", help="key = value configuration file (flags win)")
+
+    def add_common(p):
+        add_config(p)
         p.add_argument("--tol", type=float, default=1e-10,
                        help="quadrature tolerance (absolute, scaled internally at large sigma)")
 
@@ -174,8 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fig", type=int, choices=[1, 2, 8, 9, 10], required=True)
     p.add_argument("--out", required=True, help="output directory")
 
+    # every criterion pins its own tolerance, so verify takes no --tol
     p = sub.add_parser("verify", help="run the acceptance and invariant checks")
-    add_common(p)
+    add_config(p)
     p.add_argument("--suite", default="all",
                    choices=["all", "quadrature", "zeros", "lemma1", "lemma2", "fields", "orbit"])
     return parser

@@ -10,16 +10,21 @@ interval [-T, T], with T chosen so the analytic tail bound is below half the
 requested tolerance.  Each panel is integrated at the working order and at
 double the order; the difference is the panel error estimate.
 
-Single points (:func:`eval_transform`, :func:`eval_derivative`) split the
-worst panel until the estimate meets the budget; within a panel, weighted
-terms are accumulated left to right with compensated summation, and panel
-results are combined in index order.
-
-Grids (:func:`eval_transform_grid`) and batches of scattered points share one
-panel set per batch (:func:`_shared_rule`), sized for the batch's hardest
-point.  Their sums run in BLAS and NumPy order, so the rounding floor of
-their error estimates bounds that summation rather than a compensated one.
-Both paths are deterministic for a given input.
+Every evaluation shares one panel set per batch (:func:`_shared_rule`),
+sized for the batch's hardest point; a single point is a batch of one.
+Scattered points (:func:`eval_transform`, :func:`eval_derivative`, zero
+scans, Newton vertices) go through :func:`_point_moments`, which has one
+refinement loop: while a point's panel errors exceed half its tolerance,
+every panel holding at least its share of them is split.  Their order-2p
+node terms are summed in float64 in groups of g <= 8 nodes and the group
+sums in long double, per panel and across panels (the order-p sums enter
+only the error estimate and stay in float64).  The rounding floor of the
+estimate, ((5 + g/2) eps + nodes * long double eps) * sum |a|(|cos| +
+|sin|), therefore barely grows with the node count where long double is
+wider than float64, and is still a valid bound where it is not.  Grids
+(:func:`eval_transform_grid`) are one batched matrix product whose sums run
+in BLAS order, with a floor that bounds that summation.  Both paths are
+deterministic for a given input.
 
 For n = 1 the closed form sqrt(pi) * exp(-z^2/4) is provided as an oracle.
 """
@@ -256,128 +261,20 @@ def _panel_edges(T: float, w_cap: float, sigma: float) -> np.ndarray:
     return np.linspace(-T, T, count + 1)
 
 
-def _panel_sums(n: int, sigma: float, k: int, w: np.ndarray,
-                edges_lo: np.ndarray, edges_hi: np.ndarray, order: int):
-    """Per-panel quadrature sums for all w at once.
-
-    Returns (cos_part, sin_part, abs_part) each of shape (nw, npanels).
-    Within each panel the weighted terms are accumulated left to right with
-    compensated (Kahan) summation.
-    """
-    x, gw = _gl_rule(order)
-    centers = 0.5 * (edges_lo + edges_hi)
-    halves = 0.5 * (edges_hi - edges_lo)
-    t = centers[:, None] + halves[:, None] * x[None, :]        # (P, p)
-    base = gw[None, :] * halves[:, None] * np.exp(-t ** (2 * n) + sigma * t)
-    if k:
-        base = base * t ** k
-
-    nw, npan, p = w.size, edges_lo.size, order
-    cos_s = np.zeros((nw, npan)); cos_c = np.zeros((nw, npan))
-    sin_s = np.zeros((nw, npan)); sin_c = np.zeros((nw, npan))
-    abs_s = np.zeros((nw, npan))
-    wcol = w[:, None]
-    for j in range(p):
-        phase = wcol * t[None, :, j]
-        fc = base[None, :, j] * np.cos(phase)
-        fs = base[None, :, j] * np.sin(phase)
-        abs_s += np.abs(fc) + np.abs(fs)
-        # Kahan step for the cosine part
-        y = fc - cos_c
-        tmp = cos_s + y
-        cos_c = (tmp - cos_s) - y
-        cos_s = tmp
-        # and the sine part
-        y = fs - sin_c
-        tmp = sin_s + y
-        sin_c = (tmp - sin_s) - y
-        sin_s = tmp
-    return cos_s, sin_s, abs_s
-
-
-def _combine(cos_s: np.ndarray, sin_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Combine per-panel sums in index order with compensated summation."""
-    nw = cos_s.shape[0]
-    re = np.zeros(nw); rec = np.zeros(nw)
-    im = np.zeros(nw); imc = np.zeros(nw)
-    for i in range(cos_s.shape[1]):
-        y = cos_s[:, i] - rec
-        t = re + y
-        rec = (t - re) - y
-        re = t
-        y = sin_s[:, i] - imc
-        t = im + y
-        imc = (t - im) - y
-        im = t
-    return re, im
-
-
-def _moment_batch(n: int, sigma: float, w: np.ndarray, k: int, q: QuadratureSpec,
-                  w_cap: float | None = None, refine: bool = True):
-    """M_k(w) = integral t^k exp(-t^(2n)+sigma t) e^{iwt} dt for a batch of w.
-
-    Returns (re, im, err) arrays.  All w share one panel set sized by
-    ``w_cap`` (defaults to max |w|).  When ``refine`` is set and the batch has
-    a single point, the worst panel is split until the estimate meets tol/2;
-    multi-point batches fall back to up to two global halvings.
-    """
-    n = check_kernel_index(n)
-    _guard_overflow(n, sigma)
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    cap = float(np.max(np.abs(w))) if w_cap is None else float(w_cap)
-
-    tol_tail = 0.5 * q.tol
-    if q.truncation_radius_override is not None:
-        T = q.truncation_radius_override
-    else:
-        T = truncation_radius(n, sigma, k, tol_tail)
-    tail = min(_tail_bound(n, sigma, k, T), math.inf)
-
-    edges = _panel_edges(T, cap, sigma)
-    lo_e, hi_e = edges[:-1].copy(), edges[1:].copy()
-    order = q.panel_order
-
-    def evaluate(lo_e, hi_e):
-        c1, s1, _ = _panel_sums(n, sigma, k, w, lo_e, hi_e, order)
-        c2, s2, a2 = _panel_sums(n, sigma, k, w, lo_e, hi_e, 2 * order)
-        perr = np.hypot(c1 - c2, s1 - s2)           # (nw, P)
-        return c2, s2, a2, perr
-
-    c2, s2, a2, perr = evaluate(lo_e, hi_e)
-    target = 0.5 * q.tol
-
-    if w.size == 1 and refine:
-        while float(perr.sum()) > target and lo_e.size < q.max_panels:
-            i = int(np.argmax(perr[0]))
-            mid = 0.5 * (lo_e[i] + hi_e[i])
-            lo_e = np.insert(lo_e, i + 1, mid)
-            hi_e = np.insert(hi_e, i, mid)
-            c2, s2, a2, perr = evaluate(lo_e, hi_e)
-    elif refine:
-        rounds = 0
-        while float(perr.sum(axis=1).max()) > target and rounds < 2 and 2 * lo_e.size <= q.max_panels:
-            mids = 0.5 * (lo_e + hi_e)
-            lo_e = np.sort(np.concatenate([lo_e, mids]))
-            hi_e = np.sort(np.concatenate([mids, hi_e]))
-            c2, s2, a2, perr = evaluate(lo_e, hi_e)
-            rounds += 1
-
-    re, im = _combine(c2, s2)
-    floor = 4.0 * _EPS * a2.sum(axis=1)
-    err = perr.sum(axis=1) + tail + floor
-
-    if w.size == 1 and refine and not float(err[0]) <= q.tol:
+def _eval_point(n: int, k: int, p: PlanePoint, q: QuadratureSpec) -> EvalResult:
+    """The k-th moment at one point; raises when its estimate exceeds q.tol."""
+    re, im, err = (float(x[0, 0]) for x in _point_moments(
+        n, np.array([p.sigma]), np.array([p.w]), np.array([q.tol]), q, (k,)))
+    if not err <= q.tol:
         raise ToleranceNotMetError(
-            f"quadrature error estimate {float(err[0]):.3e} above tol {q.tol:.3e} "
-            f"after {lo_e.size} panels (n={n}, sigma={sigma}, w={float(w[0])}, k={k})",
-            re=float(re[0]), im=float(im[0]), err_estimate=float(err[0]))
-    return re, im, err
+            f"quadrature error estimate {err:.3e} above tol {q.tol:.3e} "
+            f"(n={n}, sigma={p.sigma}, w={p.w}, k={k})", re=re, im=im, err_estimate=err)
+    return EvalResult(re, im, err)
 
 
 def eval_transform(n: int, p: PlanePoint, q: QuadratureSpec) -> EvalResult:
     """Evaluate F(z) at z = w - i*sigma by truncated adaptive quadrature."""
-    re, im, err = _moment_batch(n, p.sigma, np.array([p.w]), 0, q)
-    return EvalResult(float(re[0]), float(im[0]), float(err[0]))
+    return _eval_point(n, 0, p, q)
 
 
 def eval_derivative(n: int, k: int, p: PlanePoint, q: QuadratureSpec,
@@ -393,8 +290,8 @@ def eval_derivative(n: int, k: int, p: PlanePoint, q: QuadratureSpec,
     if k > k_cap:
         raise ValueError(f"derivative order {k} above cap {k_cap}; "
                          "raise k_cap explicitly to accept degraded accuracy")
-    re, im, err = _moment_batch(n, p.sigma, np.array([p.w]), k, q)
-    return EvalResult(*_rotate(k, float(re[0]), float(im[0])), float(err[0]))
+    r = _eval_point(n, k, p, q)
+    return EvalResult(*_rotate(k, r.re, r.im), r.err_estimate)
 
 
 def _rotate(k: int, re, im):
@@ -421,38 +318,47 @@ def closed_form_gaussian(p: PlanePoint) -> EvalResult:
     return EvalResult(re, im, 8.0 * _EPS * amp)
 
 
-# Shared-node batches: points per chunk of the scattered-point path, and the
-# float64 elements of one (panels, rows, 2 * len(w_axis)) product in the grid.
-_POINT_CHUNK = 256
+# Shared-node batches: the float64 elements of one (points, nodes) array of
+# the scattered-point path, and of one (panels, rows, 2 * len(w_axis))
+# product in the grid.
+_POINT_CHUNK_ELEMS = 1 << 17
 _GRID_CHUNK_ELEMS = 1 << 20
 
+# Order-2p node terms are summed in float64 in groups of at most this many,
+# which bounds each group's error by _GROUP * eps/2 of its absolute sum in
+# any summation order; the group sums are added in long double.
+_GROUP = 8
+_LONG_EPS = float(np.finfo(np.longdouble).eps)
 
-def _shared_rule(n: int, sigma_max: float, w_max: float, k_max: int, tol_min: float,
-                 q: QuadratureSpec):
+
+def _shared_rule(n: int, sigma_max: float, w_max: float, orders: tuple[int, ...],
+                 tol_min: float, q: QuadratureSpec, edges: np.ndarray | None = None):
     """One panel set on [-T, T] shared by every point of a batch.
 
     T is the truncation radius at the batch's largest |sigma|, largest moment
     order and smallest tolerance; T grows with each of them, so it covers
     every point.  Panel widths follow the largest |w| and |sigma|, so each
-    point gets panels at least as fine as its own would be.  Returns the
-    tail bound at T for each moment order 0..k_max (each also bounds every
+    point gets panels at least as fine as its own would be.  ``edges``, if
+    given, replaces that panel set (a refinement of it).  Returns the edges,
+    the tail bound at T for each moment order (each also bounds every
     smaller |sigma|) and, for orders p and 2p, the nodes and weights, both of
     shape (panels, order).
     """
     _guard_overflow(n, sigma_max)
-    if q.truncation_radius_override is not None:
-        T = q.truncation_radius_override
-    else:
-        T = truncation_radius(n, sigma_max, k_max, 0.5 * tol_min)
-    tails = [_tail_bound(n, sigma_max, k, T) for k in range(k_max + 1)]
-    edges = _panel_edges(T, w_max, sigma_max)
+    if edges is None:
+        if q.truncation_radius_override is not None:
+            T = q.truncation_radius_override
+        else:
+            T = truncation_radius(n, sigma_max, max(orders), 0.5 * tol_min)
+        edges = _panel_edges(T, w_max, sigma_max)
+    tails = np.array([_tail_bound(n, sigma_max, k, float(edges[-1])) for k in orders])
     centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
     halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
     rules = []
     for order in (q.panel_order, 2 * q.panel_order):
         x, gw = _gl_rule(order)
         rules.append((centers + halves * x, halves * gw))
-    return tails, rules
+    return edges, tails, rules
 
 
 def _rounding_floor(rule_2p) -> float:
@@ -462,45 +368,89 @@ def _rounding_floor(rule_2p) -> float:
     return (m + panels + 4) * _EPS
 
 
-def _per_panel(terms: np.ndarray, panels: int) -> np.ndarray:
-    """Sum (points, panels * m) node terms panel by panel into (points, panels)."""
-    return terms.reshape(terms.shape[0], panels, -1).sum(axis=2)
+def _panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules, orders: tuple[int, ...]):
+    """Moments of the points (sigma, w) on one shared rule.
 
-
-def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, scale: np.ndarray,
-                   q: QuadratureSpec, k_max: int):
-    """Moments M_k(w_i - i sigma_i), k = 0..k_max, at scattered points.
-
-    Each chunk of at most 256 points shares one rule (:func:`_shared_rule`)
-    sized for the tolerances q.tol * scale.  The error estimate of each
-    point is the sum over panels of |order p - order 2p|, plus the tail bound
-    at the shared radius, plus the rounding floor.  Returns re, im and err,
-    each of shape (k_max + 1, len(sigma)).
+    Sums of a(t) * t^k * cos/sin(wt) over groups of nodes are batched matrix
+    products of the node terms with the powers t^k.  At order p, which
+    enters only the error estimate, a group is a panel.  At order 2p a group
+    holds at most _GROUP nodes and the group sums are added in long double,
+    so the rounding floor, ((5 + group/2) eps + nodes * long double eps) *
+    sum |a t^k|(|cos| + |sin|), barely grows with the panel count.
+    Returns the order-2p moments (re, im) of shape (orders, points), the
+    per-panel |order p - order 2p| of shape (orders, points, panels), and
+    the floor of shape (orders, points).  Points go in blocks of at most
+    _POINT_CHUNK_ELEMS node terms.
     """
-    out = np.empty((3, k_max + 1, sigma.size))
-    for c0 in range(0, sigma.size, _POINT_CHUNK):
-        sl = slice(c0, c0 + _POINT_CHUNK)
-        s, ws = sigma[sl, None], w[sl, None]
-        tails, rules = _shared_rule(n, float(np.abs(s).max()), float(np.abs(ws).max()),
-                                    k_max, float(q.tol * scale[sl].min()), q)
-        panels = rules[0][0].shape[0]
-        floor = _rounding_floor(rules[1])
-        terms = []
-        for t, wt in rules:
+    panels = rules[0][0].shape[0]
+    value = np.empty((2, len(orders), sigma.size))
+    perr = np.empty((len(orders), sigma.size, panels))
+    floor = np.empty((len(orders), sigma.size))
+    step = max(1, _POINT_CHUNK_ELEMS // rules[1][0].size)
+    for c0 in range(0, sigma.size, step):
+        sl = slice(c0, c0 + step)
+        sums = []
+        for (t, wt), dtype in zip(rules, (np.float64, np.longdouble)):
+            m = t.shape[1]
+            group = math.gcd(m, _GROUP) if dtype is np.longdouble else m
+            powers = (t[..., None] ** np.array(orders)).reshape(-1, group, len(orders))
             t = t.ravel()
-            a = wt.ravel() * np.exp(-t ** (2 * n) + s * t)        # (points, nodes)
-            terms.append((t, a, np.cos(ws * t), np.sin(ws * t)))
-        (t1, a1, cos1, sin1), (t2, a2, cos2, sin2) = terms
-        abs_phase = np.abs(cos2) + np.abs(sin2)
-        for k in range(k_max + 1):
-            if k:
-                a1, a2 = a1 * t1, a2 * t2
-            c1, s1 = _per_panel(a1 * cos1, panels), _per_panel(a1 * sin1, panels)
-            c2, s2 = _per_panel(a2 * cos2, panels), _per_panel(a2 * sin2, panels)
-            out[0, k, sl] = c2.sum(axis=1)
-            out[1, k, sl] = s2.sum(axis=1)
-            out[2, k, sl] = (np.hypot(c1 - c2, s1 - s2).sum(axis=1) + tails[k]
-                             + floor * (np.abs(a2) * abs_phase).sum(axis=1))
+            a = wt.ravel() * np.exp(-t ** (2 * n) + sigma[sl, None] * t)   # (points, nodes)
+            phase = w[sl, None] * t
+            cos, sin = np.cos(phase), np.sin(phase)
+            sums.append([np.matmul((a * f).reshape(a.shape[0], -1, group).transpose(1, 0, 2),
+                                   powers)                              # (groups, points, orders)
+                         .reshape(panels, m // group, -1, len(orders)).sum(axis=1, dtype=dtype)
+                         for f in (cos, sin)])                          # (P, points, orders)
+        (c1, s1), (c2, s2) = sums       # a, cos, sin, group and powers are order 2p's
+        value[0, :, sl] = c2.sum(axis=0).T
+        value[1, :, sl] = s2.sum(axis=0).T
+        perr[:, sl] = np.hypot(c1 - c2, s1 - s2).transpose(2, 1, 0)
+        relative = (5.0 + 0.5 * group) * _EPS + t.size * _LONG_EPS
+        floor[:, sl] = relative * ((a * (np.abs(cos) + np.abs(sin)))
+                                   @ np.abs(powers.reshape(t.size, -1))).T
+    return value, perr, floor
+
+
+def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol: np.ndarray,
+                   q: QuadratureSpec, orders: tuple[int, ...]):
+    """Moments M_k(w_i - i sigma_i), k in ``orders``, at scattered points.
+
+    Points go in chunks of about _POINT_CHUNK_ELEMS node terms, and each
+    chunk shares one rule (:func:`_shared_rule`) sized for its smallest
+    tolerance ``tol``.  While some point's panel errors sum to more than
+    half its tolerance and fewer than q.max_panels panels are in use, every
+    panel holding at least its share of such a sum is split in two.  The
+    error estimate of each point is the sum over panels of |order p - order
+    2p|, plus the tail bound at the shared radius, plus the rounding floor
+    of :func:`_panel_moments`.  Returns re, im and err, each of shape
+    (len(orders), len(sigma)).
+    """
+    out = np.empty((3, len(orders), sigma.size))
+    rule = _shared_rule(n, float(np.abs(sigma).max()), float(np.abs(w).max()), orders,
+                        float(tol.min()), q)
+    step = max(1, _POINT_CHUNK_ELEMS // rule[2][1][0].size)
+    for c0 in range(0, sigma.size, step):
+        sl = slice(c0, c0 + step)
+        s, ws, ts = sigma[sl], w[sl], tol[sl]
+        s_max, w_max = float(np.abs(s).max()), float(np.abs(ws).max())
+        if step < sigma.size:
+            rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()), q)
+        while True:
+            edges, tails, rules = rule
+            value, perr, floor = _panel_moments(n, s, ws, rules, orders)
+            total = perr.sum(axis=2)
+            short = total > 0.5 * ts
+            panels = edges.size - 1
+            if not short.any() or panels >= q.max_panels:
+                break
+            share = (perr[short] / total[short][:, None]).max(axis=0)
+            split = np.flatnonzero(share >= 1.0 / panels)
+            split = split[np.argsort(-share[split], kind="stable")[:q.max_panels - panels]]
+            edges = np.sort(np.concatenate([edges, 0.5 * (edges[split] + edges[split + 1])]))
+            rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()), q, edges)
+        out[:2, :, sl] = value
+        out[2, :, sl] = total + tails[:, None] + floor
     return out[0], out[1], out[2]
 
 
@@ -521,8 +471,8 @@ def eval_transform_grid(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray,
     w_axis = np.asarray(w_axis, dtype=float)
     nw = w_axis.size
     tol = q.tol * magnitude_scale(n, sigma_axis)
-    tails, rules = _shared_rule(n, float(np.abs(sigma_axis).max()),
-                                float(np.abs(w_axis).max()), 0, float(tol.min()), q)
+    _, tails, rules = _shared_rule(n, float(np.abs(sigma_axis).max()),
+                                   float(np.abs(w_axis).max()), (0,), float(tol.min()), q)
     floor = _rounding_floor(rules[1])
     phases = []
     for t, _ in rules:

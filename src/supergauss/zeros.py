@@ -27,7 +27,7 @@ from .transform import (
     check_kernel_index,
     eval_derivative,
     eval_transform,
-    _moment_batch,
+    _point_moments,
 )
 
 # Scan step constants: step = min(BASE, BASE * (1+w)^(-1/(2n-1))).  Zero
@@ -78,6 +78,11 @@ def _scan_grid(n: int, w_max: float) -> np.ndarray:
     return np.asarray(ws)
 
 
+def _axis_values(n: int, ws: np.ndarray, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    re, _, err = _point_moments(n, np.zeros(ws.size), ws, np.full(ws.size, q.tol), q, (0,))
+    return re[0], err[0]
+
+
 def _axis_value(n: int, w: float, q: QuadratureSpec) -> tuple[float, float]:
     r = eval_transform(n, PlanePoint(w, 0.0), q)
     return r.re, r.err_estimate
@@ -126,7 +131,7 @@ def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec,
     if not w_max > 0:
         raise ValueError(f"w_max must be positive, got {w_max}")
     ws = _scan_grid(n, w_max)
-    re, _, err = _moment_batch(n, 0.0, ws, 0, q, w_cap=float(ws[-1]), refine=True)
+    re, err = _axis_values(n, ws, q)
 
     # bracket between consecutive sign-reliable samples; samples inside the
     # noise band (for example right next to a zero) are skipped over
@@ -149,7 +154,7 @@ def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec,
 
 def _confirm_single_crossing(n: int, lo: float, hi: float, q: QuadratureSpec) -> None:
     fine = np.linspace(lo, hi, 21)
-    re, _, err = _moment_batch(n, 0.0, fine, 0, q, w_cap=hi, refine=True)
+    re, err = _axis_values(n, fine, q)
     flips = 0
     for i in range(20):
         if np.abs(re[i]) > _SIGN_MARGIN * err[i] and np.abs(re[i + 1]) > _SIGN_MARGIN * err[i + 1] \
@@ -165,8 +170,7 @@ def verify_simplicity(n: int, z: ZeroRecord, q: QuadratureSpec) -> SimplicityRep
     """Certify F'(alpha) != 0 at half tolerance, with a 10x error margin."""
     if z.n != n:
         raise NotAZeroError(f"record is for n={z.n}, asked about n={n}")
-    half = QuadratureSpec(q.tol / 2, q.max_panels, q.panel_order,
-                          q.truncation_radius_override)
+    half = q.scaled(0.5)
     val = eval_transform(n, PlanePoint(z.alpha, 0.0), half)
     if abs(val.re) > max(10 * val.err_estimate, q.tol):
         raise NotAZeroError(

@@ -140,10 +140,17 @@ def test_config_file_inline_form(capsys, tmp_path):
     ["eval", "--n", "2", "--w", "0", "--sigma", "0", "--tol", "-1"],
     ["eval", "--n", "2", "--w", "nan", "--sigma", "0"],
     ["orbit", "--n", "2", "--sigma", "1", "--v", "0", "--tmax", "1", "--dt", "0.1"],
+    ["verify", "--tol", "1e-6"],
 ])
 def test_rejected_input_exit_code(capsys, argv):
-    # a value the library rejects is an argument error: code 2, one line, no traceback
-    code = main(argv)
+    # a value the library rejects is an argument error: code 2, one line, no
+    # traceback; a flag the command does not take is rejected by argparse
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        assert "error: unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
+        return
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("argument error: ") and err.count("\n") == 1
