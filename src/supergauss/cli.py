@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cache import atomic_write_text, cached_zeros, format_zero_cache
-from .coefficients import a_coeff_sweep
+from .coefficients import a_coeff
 from .errors import EmitError, OverflowGuardError, SuperGaussError, ToleranceNotMetError
 from .fieldlines import (
     I_LINE,
@@ -215,7 +215,7 @@ def _cmd_acoeff(args) -> int:
     buf = io.StringIO()
     buf.write("n,m,w,value,method,err\n")
     for w in args.w_grid:
-        for s in a_coeff_sweep(args.n, args.m_range, w, q):
+        for s in a_coeff(args.n, args.m_range, w, q):
             buf.write(f"{s.n},{s.m},{s.w!r},{s.value!r},{s.method},{s.err_estimate!r}\n")
     _write_out(args.out, buf.getvalue())
     return EXIT_OK

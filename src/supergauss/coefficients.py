@@ -19,14 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ToleranceNotMetError
 from .transform import (
     EvalResult,
     PlanePoint,
     QuadratureSpec,
     _gl_rule,
     check_kernel_index,
-    eval_derivative,
-    eval_transform,
+    eval_derivatives,
     magnitude_scale,
     moment_scale,
 )
@@ -61,66 +61,58 @@ class ACoeffSample:
 
 
 def derivative_profile(n: int, w: float, k_max: int, q: QuadratureSpec) -> list[EvalResult]:
-    """F^(k)(w) on the axis for k = 0..k_max (each its own quadrature).
+    """F^(k)(w) on the axis for k = 0..k_max, from one shared-node pass.
 
-    Each order's tolerance is scaled by the analytic peak of its integrand,
-    so requesting tol means tol relative to that moment's natural size.
+    Order k's tolerance is q.tol * moment_scale(n, 0, k), so requesting tol
+    means tol relative to that moment's natural size.  Orders k > 16 feed
+    Leibniz sums of m = ceil(k/2) > 8, which cancel more strongly, and are
+    tightened further by 4^(ceil(k/2) - 8).
     """
-    p = PlanePoint(w, 0.0)
-    return [eval_derivative(n, k, p, q.scaled(moment_scale(n, 0.0, k)),
-                            k_cap=max(k_max, 16))
-            for k in range(k_max + 1)]
+    ks = range(k_max + 1)
+    tol = [q.tol * moment_scale(n, 0.0, k) * 0.25 ** max(0, (k + 1) // 2 - LEIBNIZ_M_CAP)
+           for k in ks]
+    re, im, err = eval_derivatives(n, ks, 0.0, w, q, np.array(tol)[:, None],
+                                   k_cap=max(k_max, 16))
+    return [EvalResult(*x) for x in zip(re[:, 0].tolist(), im[:, 0].tolist(),
+                                        err[:, 0].tolist())]
 
 
 def _leibniz_from_profile(n: int, m: int, w: float,
                           profile: list[EvalResult]) -> ACoeffSample:
     # F^(j)(-w) = (-1)^j F^(j)(w); on the axis the values are real
-    total = 0.0
-    comp = 0.0
+    terms = []
     err = 0.0
     for k in range(2 * m + 1):
         sign = -1.0 if k % 2 else 1.0
         binom = math.comb(2 * m, k)
         fk, f2 = profile[k], profile[2 * m - k]
-        term = sign * binom * fk.re * f2.re
+        terms.append(sign * binom * fk.re * f2.re)
         err += binom * (abs(fk.re) * f2.err_estimate
                         + abs(f2.re) * fk.err_estimate
                         + fk.err_estimate * f2.err_estimate)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
     msign = -1.0 if m % 2 else 1.0
-    value = 2.0 * msign * total
+    value = 2.0 * msign * math.fsum(terms)
     err = 2.0 * err + 4.0 * _EPS * abs(value) * (2 * m + 1)
     alarm = err > 1e-3 * abs(value) + 1e-12
     return ACoeffSample(n=n, m=m, w=w, value=value, method="leibniz",
                         err_estimate=err, alarm=alarm)
 
 
-def a_coeff(n: int, m: int, w: float, q: QuadratureSpec,
-            m_cap: int = LEIBNIZ_M_CAP) -> ACoeffSample:
-    """Coefficient by the Leibniz derivative route.
+def a_coeff(n: int, m_list: list[int], w: float, q: QuadratureSpec,
+            m_cap: int = LEIBNIZ_M_CAP) -> list[ACoeffSample]:
+    """Coefficients for every m in ``m_list`` at one w by the Leibniz route,
+    all from one derivative profile.
 
     The binomial sum cancels more strongly as m grows; the cap defaults to 8,
     and raising it only makes sense together with a tightened q.tol (the
-    per-derivative tolerance is divided by 4^(m - 8) beyond the default cap).
+    profile divides the tolerance of orders 2m - 1 and 2m by 4^(m - 8)
+    beyond the default cap).
     """
     n = check_kernel_index(n)
-    if m > m_cap:
-        raise ValueError(f"m={m} above cap {m_cap}")
-    qd = q if m <= LEIBNIZ_M_CAP else q.scaled(0.25 ** (m - LEIBNIZ_M_CAP))
-    profile = derivative_profile(n, w, 2 * m, qd)
-    return _leibniz_from_profile(n, m, w, profile)
-
-
-def a_coeff_sweep(n: int, m_list: list[int], w: float, q: QuadratureSpec,
-                  m_cap: int = LEIBNIZ_M_CAP) -> list[ACoeffSample]:
-    """Leibniz coefficients for several m at one w, sharing the derivatives."""
-    n = check_kernel_index(n)
-    if max(m_list) > m_cap:
-        raise ValueError(f"max m {max(m_list)} above cap {m_cap}")
-    profile = derivative_profile(n, w, 2 * max(m_list), q)
+    top = max(m_list)
+    if top > m_cap:
+        raise ValueError(f"max m {top} above cap {m_cap}")
+    profile = derivative_profile(n, w, 2 * top, q)
     return [_leibniz_from_profile(n, m, w, profile) for m in m_list]
 
 
@@ -205,20 +197,23 @@ def l2_series(n: int, p: PlanePoint, m_max: int, q: QuadratureSpec,
     n = check_kernel_index(n)
     if m_max > m_cap:
         raise ValueError(f"m_max={m_max} above cap {m_cap}")
+    # one pass covers m <= 8.  Near the float64 floor (n = 1, tol 1e-14)
+    # an order the sum never reads can miss its tolerance and fail that
+    # pass; then, as for every m > 8 (whose tightened orders n = 1 misses
+    # from k = 23), the profile grows one m at a time, so only the orders
+    # read must meet theirs
+    try:
+        profile = derivative_profile(n, p.w, 2 * min(m_max, LEIBNIZ_M_CAP), q)
+    except ToleranceNotMetError:
+        profile = []
     sig2 = p.sigma * p.sigma
     total = 0.0
     err = 0.0
     truncated = True
     m_used = 0
-    profile: list[EvalResult] = []
     for m in range(m_max + 1):
-        need = 2 * m
-        if len(profile) <= need:
-            qd = q if m <= LEIBNIZ_M_CAP else q.scaled(0.25 ** (m - LEIBNIZ_M_CAP))
-            for k in range(len(profile), need + 1):
-                profile.append(eval_derivative(n, k, PlanePoint(p.w, 0.0),
-                                               qd.scaled(moment_scale(n, 0.0, k)),
-                                               k_cap=max(2 * m_max, 16)))
+        if 2 * m >= len(profile):
+            profile = derivative_profile(n, p.w, 2 * m, q)
         s = _leibniz_from_profile(n, m, p.w, profile)
         factor = sig2 ** m / math.factorial(2 * m)
         term = 0.5 * factor * s.value
@@ -243,11 +238,9 @@ def monotonicity_profile(n: int, w: float, sigma_grid: list[float],
     grid = list(sigma_grid)
     if any(s < 0 for s in grid) or any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("sigma grid must be nonnegative and ascending")
-    samples = []
-    for s in grid:
-        r = eval_transform(n, PlanePoint(w, s), q.scaled(magnitude_scale(n, s)))
-        samples.append((s, r.l_squared))
-    vals = [v for _, v in samples]
+    re, im, _ = eval_derivatives(n, (0,), grid, w, q, q.tol * magnitude_scale(n, grid))
+    vals = (re[0] * re[0] + im[0] * im[0]).tolist()
+    samples = list(zip(grid, vals))
     monotone = all(b - a >= -slack for a, b in zip(vals, vals[1:]))
     return samples, monotone
 

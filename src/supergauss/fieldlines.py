@@ -27,7 +27,7 @@ from .transform import (
     _point_moments,
     _rotate,
     check_kernel_index,
-    eval_derivative,
+    eval_derivatives,
     eval_transform,
     eval_transform_grid,
     magnitude_scale,
@@ -264,12 +264,6 @@ def _gradient_from_derivative(which: str, d_re, d_im):
     return -d_re, d_im          # I_sigma = -Re F', I_w = Im F'
 
 
-def _gradient(n: int, which: str, p: PlanePoint, q: QuadratureSpec):
-    """(d/dsigma, d/dw) of the chosen component at p, and the error of F'."""
-    d = eval_derivative(n, 1, p, q)
-    return (*_gradient_from_derivative(which, d.re, d.im), d.err_estimate)
-
-
 def refine_field_line(n: int, line: FieldLine, q: QuadratureSpec,
                       max_steps: int = 12) -> FieldLine:
     """Newton-polish every vertex along the local field gradient.
@@ -351,10 +345,10 @@ def crossing_gradient(n: int, zero: ZeroRecord, q: QuadratureSpec) -> float:
     n = check_kernel_index(n)
     if zero.n != n:
         raise NotAZeroError(f"zero record is for n={zero.n}, not n={n}")
-    val = eval_transform(n, PlanePoint(zero.alpha, 0.0), q)
-    if abs(val.re) > max(10 * val.err_estimate, q.tol):
-        raise NotAZeroError(f"|F({zero.alpha})| = {abs(val.re):.3e}: not a zero")
-    r_sigma, r_w, _ = _gradient(n, R_LINE, PlanePoint(zero.alpha, 0.0), q)
+    re, im, err = eval_derivatives(n, (0, 1), 0.0, zero.alpha, q)
+    if abs(re[0, 0]) > max(10 * err[0, 0], q.tol):
+        raise NotAZeroError(f"|F({zero.alpha})| = {abs(re[0, 0]):.3e}: not a zero")
+    r_sigma, r_w = _gradient_from_derivative(R_LINE, float(re[1, 0]), float(im[1, 0]))
     if r_w == 0.0:
         raise NotAZeroError(f"derivative vanished at {zero.alpha}: not a simple zero")
     return -r_sigma / r_w

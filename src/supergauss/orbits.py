@@ -13,15 +13,15 @@ sample.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .transform import (
     PlanePoint,
     QuadratureSpec,
     check_kernel_index,
-    eval_derivative,
-    eval_transform,
+    eval_derivatives,
     magnitude_scale,
 )
 
@@ -69,17 +69,15 @@ def orbit_trace(n: int, sigma: float, v: float, t_range: tuple[float, float],
         raise ValueError(f"dt must be positive, got {dt}")
     if v <= 0:
         raise ValueError(f"v must be positive, got {v}")
-    qs = q.scaled(magnitude_scale(n, sigma))
-    samples = []
+    ts = []
     t = t_range[0]
     while t <= t_range[1] + 1e-12 * max(1.0, abs(dt)):
-        w = v * t
-        p = PlanePoint(w, sigma)
-        val = eval_transform(n, p, qs)
-        der = eval_derivative(n, 1, p, qs)
-        J = v * (val.re * der.im - val.im * der.re)
-        samples.append(OrbitSample(t=t, R=val.re, I=val.im, J=J))
+        ts.append(t)
         t += dt
+    re, im, _ = eval_derivatives(n, (0, 1), sigma, v * np.array(ts), q,
+                                 q.tol * magnitude_scale(n, sigma))
+    J = v * (re[0] * im[1] - im[0] * re[1])
+    samples = map(OrbitSample, ts, re[0].tolist(), im[0].tolist(), J.tolist())
     return OrbitTrace(n=n, sigma=sigma, v=v, samples=tuple(samples))
 
 
@@ -88,10 +86,8 @@ def angular_momentum(n: int, p: PlanePoint, v: float, q: QuadratureSpec) -> floa
     n = check_kernel_index(n)
     if v <= 0:
         raise ValueError(f"v must be positive, got {v}")
-    qs = q.scaled(magnitude_scale(n, p.sigma))
-    val = eval_transform(n, p, qs)
-    der = eval_derivative(n, 1, p, qs)
-    return v * (val.re * der.im - val.im * der.re)
+    re, im, _ = eval_derivatives(n, (0, 1), p.sigma, p.w, q, q.tol * magnitude_scale(n, p.sigma))
+    return float(v * (re[0, 0] * im[1, 0] - im[0, 0] * re[1, 0]))
 
 
 def angular_momentum_checks(n: int, p: PlanePoint, v: float,
@@ -104,31 +100,29 @@ def angular_momentum_checks(n: int, p: PlanePoint, v: float,
                      with a Richardson-style error estimate.
     """
     n = check_kernel_index(n)
-    qs = q.scaled(magnitude_scale(n, p.sigma))
-    val = eval_transform(n, p, qs)
-    der = eval_derivative(n, 1, p, qs)
-    R, I = val.re, val.im
-    Rw, Iw = der.re, der.im
+    # F and F' at p, then F at the four difference points, in one pass; F'
+    # is not read there, so its tolerance there is inf
+    sigmas = p.sigma + np.array([0.0, h, -h, h / 2, -h / 2])
+    tol = q.tol * magnitude_scale(n, sigmas) * np.ones((2, 1))
+    tol[1, 1:] = np.inf
+    re, im, err = eval_derivatives(n, (0, 1), sigmas, p.w, q, tol)
+    (R, Rw), (I, Iw), (e, e_w) = re[:, 0].tolist(), im[:, 0].tolist(), err[:, 0].tolist()
     direct = v * (R * Iw - I * Rw)
-    direct_err = v * (abs(R) * der.err_estimate + abs(Iw) * val.err_estimate
-                      + abs(I) * der.err_estimate + abs(Rw) * val.err_estimate)
+    direct_err = v * (abs(R) * e_w + abs(Iw) * e + abs(I) * e_w + abs(Rw) * e)
 
     r_sigma, i_sigma = Iw, -Rw            # -i F' componentwise
     cr = v * (R * r_sigma + I * i_sigma)
     cr_err = direct_err
 
-    def l2(sig):
-        qq = q.scaled(magnitude_scale(n, sig))
-        r = eval_transform(n, PlanePoint(p.w, sig), qq)
-        return r.l_squared, 2.0 * math.hypot(r.re, r.im) * r.err_estimate + r.err_estimate ** 2
+    modulus = np.hypot(re[0], im[0])
+    l2 = (re[0] * re[0] + im[0] * im[0]).tolist()
+    l2_err = (2.0 * modulus * err[0] + err[0] ** 2).tolist()
 
-    def central(hh):
-        up, eu = l2(p.sigma + hh)
-        dn, ed = l2(p.sigma - hh)
-        return (up - dn) / (2 * hh), (eu + ed) / (2 * hh)
+    def central(up, dn, hh):
+        return (l2[up] - l2[dn]) / (2 * hh), (l2_err[up] + l2_err[dn]) / (2 * hh)
 
-    d1, e1 = central(h)
-    d2, e2 = central(h / 2)
+    d1, e1 = central(1, 2, h)
+    d2, e2 = central(3, 4, h / 2)
     fd = 0.5 * v * d2
     # central differences have O(h^2) bias: |d2 - true| ~ |d1 - d2| / 3
     fd_err = 0.5 * v * (abs(d1 - d2) / 3.0 * 2.0 + e2)

@@ -21,6 +21,7 @@ from .transform import (
     PlanePoint,
     QuadratureSpec,
     check_kernel_index,
+    eval_derivatives,
     eval_transform,
 )
 from .zeros import ZeroRecord
@@ -90,15 +91,10 @@ def product_residual(n: int, spec: ProductSpec, w_grid: list[float],
                      q: QuadratureSpec) -> tuple[list[tuple[float, float]], float]:
     """|F - P_N| on a grid of real w; returns (per-point table, max)."""
     check_kernel_index(n)
-    rows = []
-    worst = 0.0
-    for w in w_grid:
-        f = eval_transform(n, PlanePoint(w, 0.0), q)
-        pn = partial_product(spec, PlanePoint(w, 0.0))
-        r = abs(f.value - pn.value)
-        rows.append((w, r))
-        worst = max(worst, r)
-    return rows, worst
+    re, im, _ = eval_derivatives(n, (0,), 0.0, w_grid, q)
+    rows = [(w, abs(complex(f_re, f_im) - partial_product(spec, PlanePoint(w, 0.0)).value))
+            for w, f_re, f_im in zip(w_grid, re[0].tolist(), im[0].tolist())]
+    return rows, max((r for _, r in rows), default=0.0)
 
 
 def t_table(spec: ProductSpec, w: float, m_max: int,

@@ -11,17 +11,25 @@ requested tolerance.  Each panel is integrated at the working order and at
 double the order; the difference is the panel error estimate.
 
 Every evaluation shares one panel set per batch (:func:`_shared_rule`),
-sized for the batch's hardest point; a single point is a batch of one.
-Scattered points (:func:`eval_transform`, :func:`eval_derivative`, zero
-scans, Newton vertices) go through :func:`_point_moments`, which has one
-refinement loop: while a point's panel errors exceed half its tolerance,
-every panel holding at least its share of them is split.  Their order-2p
-node terms are summed in float64 in groups of g <= 8 nodes and the group
-sums in long double, per panel and across panels (the order-p sums enter
-only the error estimate and stay in float64).  The rounding floor of the
-estimate, ((5 + g/2) eps + nodes * long double eps) * sum |a|(|cos| +
-|sin|), therefore barely grows with the node count where long double is
-wider than float64, and is still a valid bound where it is not.  Grids
+sized for the batch's hardest point and highest derivative order.
+Scattered points go through :func:`_point_moments`, which returns every
+requested t-moment at every point from one pass over the nodes (exp, cos
+and sin are taken once per node).  :func:`eval_derivatives` is its public
+form: F^(k) for several orders at several points, each (order, point) with
+its own tolerance; :func:`eval_transform` and :func:`eval_derivative` are
+its one-order, one-point case.  Zero scans and Newton refinement call
+:func:`_point_moments` directly: a scan reads the estimates without
+requiring them, and Newton requires F' only at vertices still moving.
+
+:func:`_point_moments` has one refinement loop: while an (order, point)'s
+panel errors exceed half its tolerance, every panel holding at least its
+share of them is split.  The order-2p node terms are summed in float64 in
+groups of g <= 8 nodes and the group sums in long double, per panel and
+across panels (the order-p sums enter only the error estimate and stay in
+float64).  The rounding floor of the estimate, ((5 + g/2) eps + nodes *
+long double eps) * sum |a|(|cos| + |sin|), therefore barely grows with the
+node count where long double is wider than float64, and is still a valid
+bound where it is not.  Grids
 (:func:`eval_transform_grid`) are one batched matrix product whose sums run
 in BLAS order, with a floor that bounds that summation.  Both paths are
 deterministic for a given input.
@@ -261,37 +269,58 @@ def _panel_edges(T: float, w_cap: float, sigma: float) -> np.ndarray:
     return np.linspace(-T, T, count + 1)
 
 
-def _eval_point(n: int, k: int, p: PlanePoint, q: QuadratureSpec) -> EvalResult:
-    """The k-th moment at one point; raises when its estimate exceeds q.tol."""
-    re, im, err = (float(x[0, 0]) for x in _point_moments(
-        n, np.array([p.sigma]), np.array([p.w]), np.array([q.tol]), q, (k,)))
-    if not err <= q.tol:
+def eval_derivatives(n: int, ks, sigma, w, q: QuadratureSpec, tol=None,
+                     k_cap: int = K_CAP_DEFAULT):
+    """F^(k)(w_i - i sigma_i) for every order k in ``ks`` at every point i.
+
+    All orders and points come from one :func:`_point_moments` pass, so
+    exp, cos and sin are taken once per node for the whole batch.  ``sigma``
+    and ``w`` broadcast to one 1-D batch; ``tol`` (default q.tol) broadcasts
+    to (orders, points).  Returns re, im and err, each of shape (len(ks),
+    points), with the i^k rotation applied by exact component swaps.
+    Raises ToleranceNotMetError for the first (order, point) whose estimate
+    exceeds its tolerance.
+    """
+    ks = tuple(ks)
+    if min(ks) < 0:
+        raise ValueError(f"derivative order must be >= 0, got {min(ks)}")
+    if max(ks) > k_cap:
+        raise ValueError(f"derivative order {max(ks)} above cap {k_cap}; "
+                         "raise k_cap explicitly to accept degraded accuracy")
+    sigma = np.array(sigma, dtype=float, ndmin=1)
+    w = np.array(w, dtype=float, ndmin=1)
+    if sigma.shape != w.shape:
+        sigma, w = np.broadcast_arrays(sigma, w)
+    tol = q.tol if tol is None else tol
+    re, im, err = _point_moments(n, sigma, w, tol, q, ks)
+    if not (err <= tol).all():
+        i, j = np.argwhere(~(err <= tol))[0]
+        t = np.broadcast_to(tol, err.shape)[i, j]
         raise ToleranceNotMetError(
-            f"quadrature error estimate {err:.3e} above tol {q.tol:.3e} "
-            f"(n={n}, sigma={p.sigma}, w={p.w}, k={k})", re=re, im=im, err_estimate=err)
-    return EvalResult(re, im, err)
+            f"quadrature error estimate {err[i, j]:.3e} above tol {t:.3e} "
+            f"(n={n}, sigma={sigma[j]}, w={w[j]}, k={ks[i]})",
+            re=float(re[i, j]), im=float(im[i, j]), err_estimate=float(err[i, j]))
+    for i, k in enumerate(ks):
+        if k % 4:
+            re[i], im[i] = _rotate(k, re[i].copy(), im[i])
+    return re, im, err
 
 
 def eval_transform(n: int, p: PlanePoint, q: QuadratureSpec) -> EvalResult:
-    """Evaluate F(z) at z = w - i*sigma by truncated adaptive quadrature."""
-    return _eval_point(n, 0, p, q)
+    """F(z) at z = w - i*sigma: the one-order, one-point :func:`eval_derivatives`."""
+    re, im, err = eval_derivatives(n, (0,), p.sigma, p.w, q)
+    return EvalResult(float(re[0, 0]), float(im[0, 0]), float(err[0, 0]))
 
 
 def eval_derivative(n: int, k: int, p: PlanePoint, q: QuadratureSpec,
                     k_cap: int = K_CAP_DEFAULT) -> EvalResult:
     """k-th z-derivative of F at p: i^k times the k-th t-moment integral.
 
-    k = 0 follows the identical code path as :func:`eval_transform`.  The
-    rotation by i^k is done by exact component swaps, so no rounding is
-    introduced beyond the moment itself.
+    The one-order, one-point :func:`eval_derivatives`; k = 0 gives exactly
+    :func:`eval_transform`.
     """
-    if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
-    if k > k_cap:
-        raise ValueError(f"derivative order {k} above cap {k_cap}; "
-                         "raise k_cap explicitly to accept degraded accuracy")
-    r = _eval_point(n, k, p, q)
-    return EvalResult(*_rotate(k, r.re, r.im), r.err_estimate)
+    re, im, err = eval_derivatives(n, (k,), p.sigma, p.w, q, k_cap=k_cap)
+    return EvalResult(float(re[0, 0]), float(im[0, 0]), float(err[0, 0]))
 
 
 def _rotate(k: int, re, im):
@@ -412,27 +441,31 @@ def _panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules, orders: tupl
     return value, perr, floor
 
 
-def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol: np.ndarray,
+def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
                    q: QuadratureSpec, orders: tuple[int, ...]):
     """Moments M_k(w_i - i sigma_i), k in ``orders``, at scattered points.
 
-    Points go in chunks of about _POINT_CHUNK_ELEMS node terms, and each
-    chunk shares one rule (:func:`_shared_rule`) sized for its smallest
-    tolerance ``tol``.  While some point's panel errors sum to more than
-    half its tolerance and fewer than q.max_panels panels are in use, every
-    panel holding at least its share of such a sum is split in two.  The
+    ``tol`` broadcasts to (len(orders), len(sigma)).  Points go in chunks of
+    about _POINT_CHUNK_ELEMS node terms, and each chunk shares one rule
+    (:func:`_shared_rule`) sized for its smallest tolerance.  While some
+    (order, point) has panel errors summing to more than half its tolerance
+    and fewer than q.max_panels panels are in use, every panel holding at
+    least its share of such a sum is split in two.  The
     error estimate of each point is the sum over panels of |order p - order
     2p|, plus the tail bound at the shared radius, plus the rounding floor
     of :func:`_panel_moments`.  Returns re, im and err, each of shape
     (len(orders), len(sigma)).
     """
     out = np.empty((3, len(orders), sigma.size))
+    if sigma.size == 0:
+        return out[0], out[1], out[2]
+    tol = np.full(out.shape[1:], tol)
     rule = _shared_rule(n, float(np.abs(sigma).max()), float(np.abs(w).max()), orders,
                         float(tol.min()), q)
     step = max(1, _POINT_CHUNK_ELEMS // rule[2][1][0].size)
     for c0 in range(0, sigma.size, step):
         sl = slice(c0, c0 + step)
-        s, ws, ts = sigma[sl], w[sl], tol[sl]
+        s, ws, ts = sigma[sl], w[sl], tol[:, sl]
         s_max, w_max = float(np.abs(s).max()), float(np.abs(ws).max())
         if step < sigma.size:
             rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()), q)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coefficients import a_coeff_direct, a_coeff_sweep, l2_series, monotonicity_profile
+from .coefficients import a_coeff, a_coeff_direct, l2_series, monotonicity_profile
 from .fieldlines import (
     I_LINE,
     R_LINE,
@@ -35,14 +35,15 @@ from .transform import (
     PlanePoint,
     QuadratureSpec,
     closed_form_gaussian,
+    eval_derivatives,
     eval_transform,
     magnitude_scale,
 )
 from .zeros import (
+    _illinois,
     extended_zero_pool,
     log_derivative_lhs,
-    ode_residual_budget,
-    ode_residual_pair,
+    ode_residuals,
     scan_real_zeros,
     verify_simplicity,
     zero_pair_partial_sums,
@@ -157,8 +158,7 @@ def criterion_4_ode_identities() -> list[CriterionResult]:
     worst_ratio = 0.0
     for n in (2, 3):
         for w in np.arange(0.0, 8.01, 0.5):
-            r1, r2 = ode_residual_pair(n, float(w), q)
-            b1, b2 = ode_residual_budget(n, float(w), q)
+            (r1, r2), (b1, b2) = ode_residuals(n, float(w), q)
             worst_ratio = max(worst_ratio, r1 / b1, r2 / b2)
     ok = worst_ratio <= 1.0
     return [CriterionResult("C4", "differential identities on the axis", ok,
@@ -170,12 +170,12 @@ def criterion_5_coefficient_positivity() -> list[CriterionResult]:
     q = QuadratureSpec(tol=1e-12)
     worst = -math.inf
     for w in np.arange(0.0, 8.01, 0.25):
-        for s in a_coeff_sweep(2, list(range(7)), float(w), q):
+        for s in a_coeff(2, list(range(7)), float(w), q):
             worst = max(worst, -(s.value + s.err_estimate))
     pos_ok = worst <= 0.0
     worst_rel = 0.0
     for w in (0.0, 1.0, 2.0):
-        samples = a_coeff_sweep(1, list(range(7)), w, q)
+        samples = a_coeff(1, list(range(7)), w, q)
         for m, s in enumerate(samples):
             want = 2 * math.pi * math.exp(-w * w / 2) \
                 * math.factorial(2 * m) / (2 ** m * math.factorial(m))
@@ -196,7 +196,7 @@ def criterion_6_cross_method() -> list[CriterionResult]:
     worst = 0.0
     for m in range(4):
         for w in (0.0, 1.0, 2.0):
-            a = a_coeff_sweep(2, [m], w, q)[0]
+            a = a_coeff(2, [m], w, q)[0]
             d = a_coeff_direct(2, m, w, q2d)
             gap = abs(a.value - d.value)
             budget = a.err_estimate + d.err_estimate
@@ -239,7 +239,7 @@ def criterion_8_t_tables() -> list[CriterionResult]:
         for K in range(1, 41):
             scale = table.row_scale(K)
             neg_worst = max(neg_worst, float(-table.values[K - 1].min()) - 1e-12 * scale)
-        coeffs = a_coeff_sweep(2, [0, 1, 2, 3], w, q)
+        coeffs = a_coeff(2, [0, 1, 2, 3], w, q)
         gaps = {}
         for N in (10, 20, 40):
             spec = ProductSpec(n=2, c=c, zeros=pool, N=N)
@@ -263,20 +263,12 @@ def _branch_line_w(n: int, branch: int, sigma: float, q: QuadratureSpec) -> floa
     wa = asymptote_w(n, branch, sigma)
     spacing = asymptote_w(n, 0, sigma) * 2.0
     qs = q.scaled(magnitude_scale(n, sigma))
-    lo, hi = wa - 0.45 * spacing, wa + 0.45 * spacing
-    grid = np.linspace(lo, hi, 41)
-    vals = [eval_transform(n, PlanePoint(float(g), sigma), qs).re for g in grid]
+    grid = np.linspace(wa - 0.45 * spacing, wa + 0.45 * spacing, 41).tolist()
+    vals = eval_derivatives(n, (0,), sigma, grid, qs)[0][0].tolist()
     for i in range(40):
         if (vals[i] < 0) != (vals[i + 1] < 0):
-            a, b, fa, fb = grid[i], grid[i + 1], vals[i], vals[i + 1]
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                fm = eval_transform(n, PlanePoint(float(mid), sigma), qs).re
-                if (fm < 0) == (fa < 0):
-                    a, fa = mid, fm
-                else:
-                    b, fb = mid, fm
-            return 0.5 * (a + b)
+            return _illinois(lambda x: eval_transform(n, PlanePoint(x, sigma), qs).re,
+                             grid[i], grid[i + 1], vals[i], vals[i + 1])
     raise ArithmeticError(f"no field line crossing near branch {branch} at sigma={sigma}")
 
 

@@ -2,7 +2,7 @@
 
 For n >= 2 the transform has infinitely many simple real zeros.  The scanner
 samples R(0, w) with a density-matched step, brackets sign changes, and
-refines each bracket by bisection followed by a guarded secant polish.  The
+refines each bracket by the Illinois method (:func:`_illinois`).  The
 derivative at each zero certifies simplicity.
 
 A hard limit of double precision: |F| between consecutive zeros decays like
@@ -15,6 +15,7 @@ arithmetic that needs deeper zero tables (see :func:`extended_zero_pool`).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -25,7 +26,7 @@ from .transform import (
     PlanePoint,
     QuadratureSpec,
     check_kernel_index,
-    eval_derivative,
+    eval_derivatives,
     eval_transform,
     _point_moments,
 )
@@ -79,42 +80,44 @@ def _scan_grid(n: int, w_max: float) -> np.ndarray:
 
 
 def _axis_values(n: int, ws: np.ndarray, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    re, _, err = _point_moments(n, np.zeros(ws.size), ws, np.full(ws.size, q.tol), q, (0,))
+    re, _, err = _point_moments(n, np.zeros(ws.size), ws, q.tol, q, (0,))
     return re[0], err[0]
 
 
-def _axis_value(n: int, w: float, q: QuadratureSpec) -> tuple[float, float]:
-    r = eval_transform(n, PlanePoint(w, 0.0), q)
-    return r.re, r.err_estimate
+def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Root of f in the sign-change bracket (lo, hi) by the Illinois method.
 
-
-def _refine_bracket(n: int, lo: float, hi: float, flo: float, fhi: float,
-                    q: QuadratureSpec) -> tuple[float, float]:
-    """Bisect to 1e-8 width then secant-polish inside the bracket."""
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        fmid, _ = _axis_value(n, mid, q)
-        if (fmid < 0) == (flo < 0):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    # secant with bisection fallback, target width 1e-12 * max(1, alpha)
-    width_target = 1e-12 * max(1.0, hi)
-    for _ in range(60):
-        if hi - lo <= width_target:
+    Each step evaluates f at the secant point of the bracket and keeps the
+    half that still changes sign.  When the same end survives twice running,
+    its stored value is halved, so the far end moves too instead of staying
+    fixed as in plain regula falsi.  Stops once the bracket is narrower than
+    1e-12 * max(1, |hi|) or f vanishes, and returns the evaluated point with
+    the smallest |f| (an end of the original bracket if no step beat it).
+    """
+    best, fbest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    kept = 0
+    for _ in range(100):
+        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
             break
-        denom = fhi - flo
-        x = 0.5 * (lo + hi) if denom == 0 else hi - fhi * (hi - lo) / denom
-        if not (lo < x < hi):
+        x = lo - flo * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        fx, _ = _axis_value(n, x, q)
+        fx = f(x)
+        if abs(fx) < abs(fbest):
+            best, fbest = x, fx
+        if fx == 0.0:
+            break
         if (fx < 0) == (flo < 0):
             lo, flo = x, fx
+            if kept == -1:
+                fhi *= 0.5
+            kept = -1
         else:
             hi, fhi = x, fx
-    alpha = 0.5 * (lo + hi)
-    fa, err = _axis_value(n, alpha, q)
-    return alpha, abs(fa) + err
+            if kept == 1:
+                flo *= 0.5
+            kept = 1
+    return best
 
 
 def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec,
@@ -141,13 +144,13 @@ def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec,
     for a, b in zip(reliable, reliable[1:]):
         if (re[a] < 0) == (re[b] < 0):
             continue
-        alpha, residual = _refine_bracket(n, float(ws[a]), float(ws[b]),
-                                          float(re[a]), float(re[b]), q)
+        alpha = _illinois(lambda x: eval_transform(n, PlanePoint(x, 0.0), q).re,
+                          float(ws[a]), float(ws[b]), float(re[a]), float(re[b]))
         if _rescan:
             _confirm_single_crossing(n, float(ws[a]), float(ws[b]), q)
-        d = eval_derivative(n, 1, PlanePoint(alpha, 0.0), q)
+        f, _, e = eval_derivatives(n, (0, 1), 0.0, alpha, q)
         records.append(ZeroRecord(n=n, index=idx, alpha=alpha,
-                                  f_prime=d.re, residual=residual))
+                                  f_prime=float(f[1, 0]), residual=float(abs(f[0, 0]) + e[0, 0])))
         idx += 1
     return records
 
@@ -167,60 +170,54 @@ def _confirm_single_crossing(n: int, lo: float, hi: float, q: QuadratureSpec) ->
 
 
 def verify_simplicity(n: int, z: ZeroRecord, q: QuadratureSpec) -> SimplicityReport:
-    """Certify F'(alpha) != 0 at half tolerance, with a 10x error margin."""
+    """Certify F'(alpha) != 0 at half tolerance, with a 10x error margin.
+
+    F and F' (at q.tol / 2) and the ODE orders (at q.tol) come from one pass.
+    """
     if z.n != n:
         raise NotAZeroError(f"record is for n={z.n}, asked about n={n}")
-    half = q.scaled(0.5)
-    val = eval_transform(n, PlanePoint(z.alpha, 0.0), half)
-    if abs(val.re) > max(10 * val.err_estimate, q.tol):
+    n = check_kernel_index(n)
+    values = eval_derivatives(n, (0, 1, 2 * n - 1, 2 * n), 0.0, z.alpha, q,
+                              q.tol * np.array([[0.5], [0.5], [1.0], [1.0]]))
+    re, _, err = values
+    if abs(re[0, 0]) > max(10 * err[0, 0], q.tol):
         raise NotAZeroError(
-            f"|F({z.alpha})| = {abs(val.re):.3e} is not a certified zero at tol {q.tol:.1e}")
-    d = eval_derivative(n, 1, PlanePoint(z.alpha, 0.0), half)
-    mag = abs(d.re)
-    if mag < 10 * d.err_estimate:
+            f"|F({z.alpha})| = {abs(re[0, 0]):.3e} is not a certified zero at tol {q.tol:.1e}")
+    mag = abs(float(re[1, 0]))
+    if mag < 10 * err[1, 0]:
         raise SimplicityIndeterminateError(
-            f"|F'({z.alpha})| = {mag:.3e} below 10x its error bound {d.err_estimate:.3e}; "
+            f"|F'({z.alpha})| = {mag:.3e} below 10x its error bound {err[1, 0]:.3e}; "
             "a multiple zero would contradict the simplicity result")
-    resid = ode_residual(n, z.alpha, q)
+    (resid, _), _ = _ode_residuals(n, z.alpha, *values)
     return SimplicityReport(zero=z, derivative_magnitude=mag, ode_residual_at_zero=resid)
 
 
-def ode_residual(n: int, w: float, q: QuadratureSpec) -> float:
-    """|F^(2n-1)(w) - ((-1)^n / 2n) w F(w)| from independent evaluations."""
-    r, _ = ode_residual_pair(n, w, q)
-    return r
+def _ode_residuals(n: int, w: float, re, im, err):
+    """Residuals of both identities and their summed error estimates, from
+    the rows F, F', F^(2n-1), F^(2n) of one :func:`eval_derivatives` call."""
+    f, f1, d_hi, d_hi2 = re[:, 0] + 1j * im[:, 0]
+    e, e1, e_hi, e_hi2 = err[:, 0]
+    sign = (-1.0) ** n / (2 * n)
+    residuals = (abs(d_hi - sign * w * f), abs(d_hi2 - sign * (f + w * f1)))
+    budgets = (e_hi + abs(w) / (2 * n) * e, e_hi2 + (e + abs(w) * e1) / (2 * n))
+    return residuals, budgets
 
 
-def ode_residual_pair(n: int, w: float, q: QuadratureSpec) -> tuple[float, float]:
-    """Residuals of both differential identities satisfied on the axis.
+def ode_residuals(n: int, w: float, q: QuadratureSpec):
+    """Residuals of both differential identities on the axis, and their budgets.
 
     First: F^(2n-1)(w) = ((-1)^n / 2n) w F(w).
     Second (its derivative): F^(2n)(w) = ((-1)^n / 2n) (F(w) + w F'(w)).
+    The four orders come from one pass at q.tol each.  Returns ((r1, r2),
+    (b1, b2)), each budget the summed error estimates behind its residual.
     """
     n = check_kernel_index(n)
-    p = PlanePoint(w, 0.0)
-    sign = (-1.0) ** n / (2 * n)
-    f = eval_transform(n, p, q)
-    f1 = eval_derivative(n, 1, p, q)
-    d_hi = eval_derivative(n, 2 * n - 1, p, q)
-    d_hi2 = eval_derivative(n, 2 * n, p, q)
-    r1 = abs(d_hi.value - sign * w * f.value)
-    r2 = abs(d_hi2.value - sign * (f.value + w * f1.value))
-    return r1, r2
+    return _ode_residuals(n, w, *eval_derivatives(n, (0, 1, 2 * n - 1, 2 * n), 0.0, w, q))
 
 
-def ode_residual_budget(n: int, w: float, q: QuadratureSpec) -> tuple[float, float]:
-    """Summed error estimates matching the two residuals of ode_residual_pair."""
-    n = check_kernel_index(n)
-    p = PlanePoint(w, 0.0)
-    f = eval_transform(n, p, q)
-    f1 = eval_derivative(n, 1, p, q)
-    d_hi = eval_derivative(n, 2 * n - 1, p, q)
-    d_hi2 = eval_derivative(n, 2 * n, p, q)
-    scale = abs(w) / (2 * n)
-    b1 = d_hi.err_estimate + scale * f.err_estimate
-    b2 = d_hi2.err_estimate + (f.err_estimate + abs(w) * f1.err_estimate) / (2 * n)
-    return b1, b2
+def ode_residual(n: int, w: float, q: QuadratureSpec) -> float:
+    """|F^(2n-1)(w) - ((-1)^n / 2n) w F(w)|, from :func:`ode_residuals`."""
+    return float(ode_residuals(n, w, q)[0][0])
 
 
 def log_derivative_lhs(n: int, w: float, q: QuadratureSpec) -> tuple[float, float]:
@@ -229,34 +226,23 @@ def log_derivative_lhs(n: int, w: float, q: QuadratureSpec) -> tuple[float, floa
     This is minus the second logarithmic derivative; over the zero pool it
     equals the sum of (w - alpha)^-2 + (w + alpha)^-2 over all zero pairs.
     """
-    p = PlanePoint(w, 0.0)
-    f = eval_transform(n, p, q)
-    if abs(f.re) <= max(100 * f.err_estimate, 10 * q.tol):
+    re, _, err = eval_derivatives(n, (0, 1, 2), 0.0, w, q)
+    F, F1, F2 = re[:, 0].tolist()
+    dF, dF1, dF2 = err[:, 0].tolist()
+    if abs(F) <= max(100 * dF, 10 * q.tol):
         raise NotAZeroError(f"w={w} is too close to a zero for the identity")
-    f1 = eval_derivative(n, 1, p, q)
-    f2 = eval_derivative(n, 2, p, q)
-    F, F1, F2 = f.re, f1.re, f2.re
     lhs = (F1 * F1 - F2 * F) / (F * F)
     # linearized propagation of the three quadrature errors
-    dF, dF1, dF2 = f.err_estimate, f1.err_estimate, f2.err_estimate
     grad_f = abs((-F2 * F * F - (F1 * F1 - F2 * F) * 2 * F) / F ** 4)
     err = grad_f * dF + abs(2 * F1 / F ** 2) * dF1 + abs(1.0 / F) * dF2
     return lhs, err
 
 
 def zero_pair_partial_sums(w: float, alphas: list[float]) -> list[float]:
-    """Partial sums of (w - a)^-2 + (w + a)^-2 over an ascending zero list."""
-    sums = []
-    total = 0.0
-    comp = 0.0
-    for a in alphas:
-        term = 1.0 / (w - a) ** 2 + 1.0 / (w + a) ** 2
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        sums.append(total)
-    return sums
+    """Partial sums of (w - a)^-2 + (w + a)^-2 over an ascending zero list,
+    each prefix summed exactly rounded by math.fsum."""
+    terms = [1.0 / (w - a) ** 2 + 1.0 / (w + a) ** 2 for a in alphas]
+    return [math.fsum(terms[:i + 1]) for i in range(len(terms))]
 
 
 def extended_zero_pool(n: int, count: int) -> list[ZeroRecord]:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supergauss import PlanePoint, QuadratureSpec, eval_transform
+from supergauss.errors import ToleranceNotMetError
 from supergauss.coefficients import (
     ACoeffSample,
     a_coeff,
     a_coeff_direct,
-    a_coeff_sweep,
+    derivative_profile,
     l2_series,
     monotonicity_profile,
     p_r_factor_identity_gap,
@@ -26,7 +27,7 @@ def closed_form_n1(m, w):
 def test_leibniz_m0_is_twice_f_squared():
     for n in (1, 2):
         for w in (0.0, 1.5):
-            s = a_coeff(n, 0, w, Q)
+            s, = a_coeff(n, [0], w, Q)
             f = eval_transform(n, PlanePoint(w, 0.0), Q)
             assert s.value == pytest.approx(2 * f.re * f.re, rel=1e-12)
 
@@ -34,26 +35,30 @@ def test_leibniz_m0_is_twice_f_squared():
 def test_leibniz_against_gaussian_closed_form():
     for m in (0, 1, 2, 4, 6):
         for w in (0.0, 1.0, 2.0):
-            s = a_coeff(1, m, w, Q)
+            s, = a_coeff(1, [m], w, Q)
             assert s.value == pytest.approx(closed_form_n1(m, w), rel=1e-7)
             assert not s.alarm
 
 
 def test_leibniz_cap():
     with pytest.raises(ValueError):
-        a_coeff(2, 9, 0.0, Q)
-    a_coeff(2, 9, 0.0, Q, m_cap=9)  # explicit raise of the cap is allowed
+        a_coeff(2, [9], 0.0, Q)
+    a_coeff(2, [9], 0.0, Q, m_cap=9)  # explicit raise of the cap is allowed
 
 
 def test_sweep_matches_single_calls():
-    singles = [a_coeff(2, m, 1.0, Q).value for m in range(4)]
-    sweeps = [s.value for s in a_coeff_sweep(2, [0, 1, 2, 3], 1.0, Q)]
-    assert singles == sweeps
+    # a one-m call and a four-m call share no nodes (the rule is sized for
+    # the highest order), so they agree within their summed estimates
+    sweep = a_coeff(2, [0, 1, 2, 3], 1.0, Q)
+    for m in range(4):
+        single, = a_coeff(2, [m], 1.0, Q)
+        assert (single.m, sweep[m].m) == (m, m)
+        assert abs(single.value - sweep[m].value) <= single.err_estimate + sweep[m].err_estimate
 
 
 def test_nonnegativity_quartic():
     for w in np.arange(0.0, 8.01, 0.5):
-        for s in a_coeff_sweep(2, list(range(7)), float(w), Q):
+        for s in a_coeff(2, list(range(7)), float(w), Q):
             assert s.value >= -s.err_estimate
 
 
@@ -74,7 +79,7 @@ def test_cross_method_agreement():
     qd = QuadratureSpec(tol=1e-10, panel_order=12)
     for m in range(4):
         for w in (0.0, 1.0, 2.0):
-            a = a_coeff(2, m, w, Q)
+            a, = a_coeff(2, [m], w, Q)
             d = a_coeff_direct(2, m, w, qd)
             assert abs(a.value - d.value) <= a.err_estimate + d.err_estimate
 
@@ -95,13 +100,29 @@ def test_l2_series_sigma_zero_reduces_to_f_squared():
 
 
 def test_l2_series_matches_gaussian():
-    # the early-stop rule bounds the dropped tail near rel_stop * sum
-    for sigma in (0.3, 1.0):
+    # the early-stop rule bounds the dropped tail near rel_stop * sum; at
+    # sigma = 1.5 the series runs past m = 8 into the tightened orders
+    for sigma in (0.3, 1.0, 1.5):
         for w in (0.0, 1.0, 2.5):
             r = l2_series(1, PlanePoint(w, sigma), 12, Q)
             want = math.pi * math.exp((sigma * sigma - w * w) / 2)
             assert r.value == pytest.approx(want, rel=1e-7)
             assert not r.truncation_flag
+
+
+def test_l2_series_requires_only_the_orders_it_reads():
+    # at T = 2.3 the n = 2 tail bound meets the tolerance of orders <= 2 but
+    # not of the higher ones: a series that stops at m = 1 must still return,
+    # and one that reads the higher orders must raise
+    q = QuadratureSpec(tol=1e-12, truncation_radius_override=2.3)
+    with pytest.raises(ToleranceNotMetError):
+        derivative_profile(2, 1.2, 16, q)
+    r = l2_series(2, PlanePoint(1.2, 0.0), 12, q)
+    assert r.m_used <= 1 and not r.truncation_flag
+    assert r.value == pytest.approx(eval_transform(2, PlanePoint(1.2, 0.0), q).l_squared,
+                                    rel=1e-10)
+    with pytest.raises(ToleranceNotMetError):
+        l2_series(2, PlanePoint(1.2, 1.0), 12, q)
 
 
 def test_l2_series_matches_direct_eval():
@@ -141,7 +162,7 @@ def test_monotonicity_profile_validation():
 
 def test_not_all_coefficients_zero():
     for w in (0.5, 3.45, 6.0):
-        samples = a_coeff_sweep(2, list(range(5)), w, Q)
+        samples = a_coeff(2, list(range(5)), w, Q)
         assert any(s.value > s.err_estimate for s in samples)
 
 
@@ -170,7 +191,7 @@ def test_cancellation_alarm_flags_error_dominated_sums():
     assert abs(s.value) < 1e-3          # genuine cancellation
     assert s.alarm
     # real computations at tight tolerance stay unflagged
-    assert not a_coeff(2, 8, 6.0, QuadratureSpec(tol=1e-12)).alarm
+    assert not a_coeff(2, [8], 6.0, QuadratureSpec(tol=1e-12))[0].alarm
 
 
 def test_sample_validation():

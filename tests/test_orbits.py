@@ -84,3 +84,5 @@ def test_orbit_validation():
         orbit_trace(2, 1.0, 1.0, (0.0, 1.0), 0.0, Q)
     with pytest.raises(ValueError):
         angular_momentum(2, PlanePoint(0.0, 0.0), 0.0, Q)
+    # an empty time range is an empty trace, not an empty batch error
+    assert orbit_trace(2, 1.0, 1.0, (1.0, 0.0), 0.1, Q).samples == ()

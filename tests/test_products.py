@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supergauss import PlanePoint, QuadratureSpec
-from supergauss.coefficients import a_coeff_sweep
+from supergauss.coefficients import a_coeff
 from supergauss.products import ProductSpec, leading_constant, partial_product, product_residual, t_table
 
 Q = QuadratureSpec(tol=1e-12)
@@ -108,7 +108,7 @@ def test_t_table_nonnegative(spec40, w):
 
 def test_t_table_converges_to_coefficients(spec40):
     w = 1.0
-    coeffs = a_coeff_sweep(2, [0, 1, 2, 3], w, Q)
+    coeffs = a_coeff(2, [0, 1, 2, 3], w, Q)
     gaps = []
     for N in (10, 20, 40):
         sub = ProductSpec(n=2, c=spec40.c, zeros=spec40.zeros, N=N)

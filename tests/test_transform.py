@@ -10,6 +10,7 @@ from supergauss import (
     QuadratureSpec,
     closed_form_gaussian,
     eval_derivative,
+    eval_derivatives,
     eval_transform,
     magnitude_scale,
     moment_scale,
@@ -133,6 +134,56 @@ def test_tolerance_contract_against_half_tol():
         b = eval_derivative(6, k, p, q.scaled(0.5))
         assert a.err_estimate <= q.tol
         assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
+
+
+def _hermite(k, x):
+    """Physicists' Hermite polynomial H_k(x) by the three-term recurrence."""
+    h0, h1 = 1.0 + 0j, 2 * x
+    if k == 0:
+        return h0
+    for j in range(1, k):
+        h0, h1 = h1, 2 * x * h1 - 2 * j * h0
+    return h1
+
+
+def test_multi_order_matches_hermite_oracle():
+    # n = 1: d^k/dz^k sqrt(pi) exp(-z^2/4) = (-1/2)^k H_k(z/2) F(z)
+    ws = np.array([-2.5, -0.7, 0.4, 1.3, 3.1])
+    ss = np.array([0.5, -1.2, 1.8, 0.9, 2.5])
+    ks = range(9)
+    tol = np.array([[QT.tol * moment_scale(1, s, k) for s in ss] for k in ks])
+    re, im, err = eval_derivatives(1, ks, ss, ws, QT, tol)
+    assert re.shape == im.shape == err.shape == (9, 5)
+    for k in ks:
+        for j, (w, s) in enumerate(zip(ws, ss)):
+            z = complex(w, -s)
+            want = closed_form_gaussian(PlanePoint(w, s)).value * (-0.5) ** k * _hermite(k, z / 2)
+            assert abs(complex(re[k, j], im[k, j]) - want) <= err[k, j]
+    # the one-order, one-point calls agree with the batch within both estimates
+    d = eval_derivative(1, 5, PlanePoint(ws[2], ss[2]), QuadratureSpec(tol=tol[5, 2]))
+    assert abs(d.value - complex(re[5, 2], im[5, 2])) <= d.err_estimate + err[5, 2]
+
+
+def test_multi_order_meets_each_order_tolerance():
+    ks = (0, 3, 6)
+    tol = np.array([[1e-12], [1e-9], [1e-6]])
+    sigma, w = np.array([0.0, 0.7, 1.9]), np.array([4.2, -1.1, 0.3])
+    for n in (2, 3, 6):
+        re, im, err = eval_derivatives(n, ks, sigma, w, QT, tol)
+        assert (err <= tol).all()
+        half = eval_derivatives(n, ks, sigma, w, QT, tol / 2)
+        assert (np.hypot(re - half[0], im - half[1]) <= err + half[2]).all()
+
+
+def test_multi_order_raises_when_one_order_misses():
+    # at T = 2.3 the n = 2 tail bound is ~1e-14 for F but ~6e-11 for the t^8 moment
+    q = QuadratureSpec(tol=1e-12, truncation_radius_override=2.3)
+    eval_derivatives(2, (0,), 0.4, 1.0, q)
+    with pytest.raises(ToleranceNotMetError, match="k=8") as exc:
+        eval_derivatives(2, (0, 8), 0.4, 1.0, q)
+    assert exc.value.err_estimate > q.tol
+    with pytest.raises(ValueError):
+        eval_derivatives(2, (0, 17), 0.4, 1.0, q)
 
 
 def test_determinism():

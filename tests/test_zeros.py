@@ -8,8 +8,7 @@ from supergauss.zeros import (
     extended_zero_pool,
     log_derivative_lhs,
     ode_residual,
-    ode_residual_budget,
-    ode_residual_pair,
+    ode_residuals,
     scan_real_zeros,
     verify_simplicity,
     zero_pair_partial_sums,
@@ -29,6 +28,16 @@ def test_scan_matches_goldens(scanned_zeros_n2, golden_zeros):
         assert rec.alpha == pytest.approx(alpha, abs=1e-8)
         assert rec.f_prime == pytest.approx(fp, rel=1e-5)
         assert rec.residual <= 1e-9
+
+
+def test_scanned_zeros_within_their_error_estimates(scanned_zeros_n2):
+    # the bracket solver must move both ends, so each zero is as good as the
+    # evaluation noise allows rather than stopping at the bracket width
+    from supergauss import eval_transform
+    assert len(scanned_zeros_n2) >= 10
+    for rec in scanned_zeros_n2[:10]:
+        r = eval_transform(2, PlanePoint(rec.alpha, 0.0), Q)
+        assert abs(r.re) <= 2 * r.err_estimate
 
 
 def test_zeros_strictly_increasing_no_duplicates(scanned_zeros_n2):
@@ -91,20 +100,19 @@ def test_ode_identity_gaussian():
     # the n = 1 kernel satisfies F' = -(w/2) F exactly
     for w in (0.4, 1.3, 2.5):
         r = ode_residual(1, w, Q)
-        b, _ = ode_residual_budget(1, w, Q)
+        _, (b, _) = ode_residuals(1, w, Q)
         assert r <= b
 
 
 def test_ode_identity_trivial_at_origin():
-    r1, r2 = ode_residual_pair(2, 0.0, Q)
+    (r1, r2), _ = ode_residuals(2, 0.0, Q)
     assert r1 <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
 @given(w=st.floats(0.1, 6.0), n=st.sampled_from([2, 3]))
 def test_ode_residuals_within_budget(w, n):
-    r1, r2 = ode_residual_pair(n, w, Q)
-    b1, b2 = ode_residual_budget(n, w, Q)
+    (r1, r2), (b1, b2) = ode_residuals(n, w, Q)
     assert r1 <= b1 and r2 <= b2
 
 
