@@ -43,8 +43,8 @@ _SNAP_FACTOR = 4.0
 
 _AXIS_TOL = 1e-9
 
-# Segments per block of the intersection audit; the pairwise distance arrays
-# of one block pair are _AUDIT_CHUNK**2 entries.
+# R segments per block of the intersection audit; a block's per-pair box
+# test holds _AUDIT_CHUNK entries per I segment near the block.
 _AUDIT_CHUNK = 128
 
 
@@ -142,22 +142,40 @@ _SADDLES: dict[tuple[int, bool], list[tuple[int, int]]] = {
 }
 
 
-def _edge_key(edge: int, i: int, j: int):
-    # canonical id of a grid edge so shared crossings link across cells
-    if edge == 0:
-        return ("s", i, j)          # from (i,j) toward (i+1,j)
-    if edge == 1:
-        return ("w", i + 1, j)      # from (i+1,j) toward (i+1,j+1)
-    if edge == 2:
-        return ("s", i, j + 1)
-    return ("w", i, j)
+def _pair_table() -> np.ndarray:
+    """Edge pairs of every cell code as a (32, 2, 2) array, -1 where a cell
+    has no second segment.  The code is the case, plus 16 for a saddle whose
+    center is positive."""
+    table = np.full((32, 2, 2), -1)
+    for bits, pairs in _CASES.items():
+        table[bits, :len(pairs)] = np.reshape(pairs, (-1, 2))
+    for (bits, center_positive), pairs in _SADDLES.items():
+        table[bits + 16 * center_positive] = pairs
+    return table
 
 
-def _interp(p0, v0, p1, v1):
-    theta = v0 / (v0 - v1)
-    theta = min(max(theta, 0.0), 1.0)
-    return (float(p0[0] + theta * (p1[0] - p0[0])),
-            float(p0[1] + theta * (p1[1] - p0[1])))
+_PAIRS = _pair_table()
+
+
+def _cell_codes(grid: GridField, which: str, pos: np.ndarray):
+    """(i, j, code) of every cell the zero set crosses, in row-major order.
+
+    The two saddle cases read the sign of the field at their cell centers,
+    each evaluated alone at tolerance q.tol * magnitude_scale(n, sigma).
+    """
+    p = pos.astype(np.uint8)
+    bits = p[:-1, :-1] | (p[1:, :-1] << 1) | (p[1:, 1:] << 2) | (p[:-1, 1:] << 3)
+    ci, cj = np.nonzero((bits != 0) & (bits != 15))
+    code = bits[ci, cj].astype(np.int64)
+    sig, ws = grid.sigma_axis, grid.w_axis
+    for k in np.flatnonzero((code == 5) | (code == 10)).tolist():
+        i, j = ci[k], cj[k]
+        center = PlanePoint(0.5 * (ws[j] + ws[j + 1]), 0.5 * (sig[i] + sig[i + 1]))
+        qc = grid.q.scaled(magnitude_scale(grid.n, center.sigma))
+        cv = eval_transform(grid.n, center, qc)
+        cval = cv.re if which == R_LINE else cv.im
+        code[k] += 16 * (cval > _SNAP_FACTOR * cv.err_estimate)
+    return ci, cj, code
 
 
 def extract_field_lines(grid: GridField, which: str) -> list[FieldLine]:
@@ -167,80 +185,78 @@ def extract_field_lines(grid: GridField, which: str) -> list[FieldLine]:
     quadrature noise cannot spawn contours; the exactly-zero axis lines of the
     I component (w = 0, and sigma = 0 where I vanishes identically) are added
     analytically when the window contains them.
+
+    Cells are classified with array operations, and only the cells with a
+    crossing go further.  Every grid edge has an integer id: the sigma-step
+    edge from (i, j) to (i+1, j) is i * nw + j, the w-step edge from (i, j)
+    to (i, j+1) is (ns-1) * nw + i * (nw-1) + j, so ids sort as the edges'
+    (direction, i, j).  A crossing is interpolated linearly along its edge.
     """
     vals = grid.component(which)
     pos = vals > _SNAP_FACTOR * grid.err
     sig, ws = grid.sigma_axis, grid.w_axis
+    nw = ws.size
+    w_base = (sig.size - 1) * nw
 
-    crossings: dict = {}
-    segments: list[tuple] = []
-    for i in range(sig.size - 1):
-        for j in range(ws.size - 1):
-            bits = (int(pos[i, j]) | (int(pos[i + 1, j]) << 1)
-                    | (int(pos[i + 1, j + 1]) << 2) | (int(pos[i, j + 1]) << 3))
-            if bits in (0, 15):
-                continue
-            if bits in (5, 10):
-                center = PlanePoint(0.5 * (ws[j] + ws[j + 1]),
-                                    0.5 * (sig[i] + sig[i + 1]))
-                qc = grid.q.scaled(magnitude_scale(grid.n, center.sigma))
-                cv = eval_transform(grid.n, center, qc)
-                cval = cv.re if which == R_LINE else cv.im
-                pairs = _SADDLES[(bits, cval > _SNAP_FACTOR * cv.err_estimate)]
-            else:
-                pairs = _CASES[bits]
+    ci, cj, code = _cell_codes(grid, which, pos)
+    table = _PAIRS[code]
+    cell, slot = np.nonzero(table[:, :, 0] >= 0)
+    pairs = table[cell, slot]                                 # (segments, 2) edges
+    i, j = ci[cell, None], cj[cell, None]
+    segments = np.where(pairs % 2 == 0,
+                        i * nw + j + (pairs == 2),
+                        w_base + (i + (pairs == 1)) * (nw - 1) + j)
 
-            corner_pos = ((sig[i], ws[j]), (sig[i + 1], ws[j]),
-                          (sig[i + 1], ws[j + 1]), (sig[i], ws[j + 1]))
-            corner_val = (vals[i, j], vals[i + 1, j],
-                          vals[i + 1, j + 1], vals[i, j + 1])
-            edge_corners = ((0, 1), (1, 2), (3, 2), (0, 3))
-            for e_a, e_b in pairs:
-                keys = []
-                for e in (e_a, e_b):
-                    ka = _edge_key(e, i, j)
-                    if ka not in crossings:
-                        a, b = edge_corners[e]
-                        crossings[ka] = _interp(corner_pos[a], corner_val[a],
-                                                corner_pos[b], corner_val[b])
-                    keys.append(ka)
-                segments.append((keys[0], keys[1]))
+    ids = np.sort(segments, axis=None)
+    ids = ids[np.diff(ids, prepend=-1) > 0]
+    s_edge = ids < w_base
+    i0 = np.where(s_edge, ids // nw, (ids - w_base) // (nw - 1))
+    j0 = np.where(s_edge, ids % nw, (ids - w_base) % (nw - 1))
+    i1, j1 = i0 + s_edge, j0 + ~s_edge
+    v0, v1 = vals[i0, j0], vals[i1, j1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.clip(v0 / (v0 - v1), 0.0, 1.0)
+    c_sigma = sig[i0] + theta * (sig[i1] - sig[i0])
+    c_w = ws[j0] + theta * (ws[j1] - ws[j0])
+    points = [PlanePoint(w=w, sigma=s) for s, w in zip(c_sigma.tolist(), c_w.tolist())]
 
-    lines = [FieldLine(which=which, points=pts)
-             for pts in _link_segments(segments, crossings)]
+    lines = [FieldLine(which=which, points=tuple(points[k] for k in chain))
+             for chain in _link_segments(np.searchsorted(ids, segments))]
     lines.extend(_axis_lines(grid, which))
     return lines
 
 
-def _link_segments(segments, crossings):
-    adjacency: dict = {}
-    for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
+def _link_segments(segments: np.ndarray) -> list[list[int]]:
+    """Chains of node ids joined by the (a, b) rows of ``segments``.
 
-    visited = set()
-    polylines = []
-    # open chains first (endpoints of degree 1), then closed loops
-    starts = sorted([k for k, v in adjacency.items() if len(v) == 1])
-    starts += sorted([k for k, v in adjacency.items() if len(v) > 1])
-    for start in starts:
-        if start in visited:
+    Every node has one or two neighbours (a grid edge borders at most two
+    cells, and a cell uses each edge once).  Open chains come first, each
+    walked from its smaller end, then closed loops, each from its smallest
+    node toward its smaller neighbour; both in order of their first node.
+    """
+    count = int(segments.max()) + 1 if segments.size else 0
+    nbrs = [[] for _ in range(count)]
+    for a, b in segments.tolist():
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    visited = [False] * count
+    chains = []
+    ends = [k for k in range(count) if len(nbrs[k]) == 1]
+    for start in ends + [k for k in range(count) if len(nbrs[k]) > 1]:
+        if visited[start]:
             continue
         chain = [start]
-        visited.add(start)
+        visited[start] = True
         cur = start
         while True:
-            nxt = [k for k in adjacency[cur] if k not in visited]
+            nxt = [k for k in nbrs[cur] if not visited[k]]
             if not nxt:
                 break
-            cur = sorted(nxt)[0]
-            visited.add(cur)
+            cur = min(nxt)
+            visited[cur] = True
             chain.append(cur)
-        if len(chain) >= 2:
-            pts = tuple(PlanePoint(w=crossings[k][1], sigma=crossings[k][0])
-                        for k in chain)
-            polylines.append(pts)
-    return polylines
+        chains.append(chain)
+    return chains
 
 
 def _axis_lines(grid: GridField, which: str) -> list[FieldLine]:
@@ -371,14 +387,15 @@ def _dot(u, v):
 
 
 def _segment_min_distances(a0, a1, b0, b1):
-    """Pairwise minimum distance between segment sets [a0,a1] and [b0,b1].
+    """Minimum distance between the segments [a0, a1] and [b0, b1].
 
-    Standard clamped closest-point computation, broadcast over all pairs;
-    returns (dist, midpoint) arrays of shapes (na, nb) and (na, nb, 2).
+    Standard clamped closest-point computation, elementwise over any
+    broadcast leading shape of the (..., 2) endpoint arrays; returns (dist,
+    midpoint) arrays of shapes (...) and (..., 2).
     """
-    d1 = (a1 - a0)[:, None, :]            # (na,1,2)
-    d2 = (b1 - b0)[None, :, :]            # (1,nb,2)
-    r = a0[:, None, :] - b0[None, :, :]
+    d1 = a1 - a0
+    d2 = b1 - b0
+    r = a0 - b0
     a = _dot(d1, d1)
     e = _dot(d2, d2)
     f = _dot(d2, r)
@@ -393,8 +410,8 @@ def _segment_min_distances(a0, a1, b0, b1):
     need = t_cl != t
     s = np.where(need & (a > 1e-30), np.clip((b * t_cl - c) / np.where(a > 1e-30, a, 1.0), 0.0, 1.0), s)
     t = t_cl
-    pa = a0[:, None, :] + s[..., None] * d1
-    pb = b0[None, :, :] + t[..., None] * d2
+    pa = a0 + s[..., None] * d1
+    pb = b0 + t[..., None] * d2
     diff = pa - pb
     dist = np.sqrt(_dot(diff, diff))
     return dist, 0.5 * (pa + pb)
@@ -406,29 +423,28 @@ def intersection_audit(r_lines: list[FieldLine], i_lines: list[FieldLine],
 
     Every pair of polyline segments is tested; pairs closer than the
     proximity tolerance contribute their midpoint, in order of (R segment,
-    I segment).  R segments are taken in blocks of 128, and each block is
-    tested only against the I segments whose bounding boxes come within the
-    tolerance of the block's own (again 128 at a time), so the distance test
-    runs only where the two families come close.  A clean
-    geometry returns points only on the axis |sigma| <= tolerance (or none at
-    all when the window excludes the axis).
+    I segment).  R segments are taken in blocks of 128; each block is tested
+    only against the I segments whose bounding boxes come within the
+    tolerance of the block's own, and within those only the pairs whose
+    own boxes come within the tolerance reach the distance computation.  A
+    clean geometry returns points only on the axis |sigma| <= tolerance (or
+    none at all when the window excludes the axis).
     """
     a0, a1 = _segment_arrays(r_lines)
     b0, b1 = _segment_arrays(i_lines)
     if a0.size == 0 or b0.size == 0:
         return []
+    a_lo = np.minimum(a0, a1) - proximity_tol
+    a_hi = np.maximum(a0, a1) + proximity_tol
     b_lo, b_hi = np.minimum(b0, b1), np.maximum(b0, b1)
     found = []
-    chunk = _AUDIT_CHUNK
-    for ia in range(0, a0.shape[0], chunk):
-        sa0, sa1 = a0[ia:ia + chunk], a1[ia:ia + chunk]
-        lo_a = np.minimum(sa0, sa1).min(axis=0) - proximity_tol
-        hi_a = np.maximum(sa0, sa1).max(axis=0) + proximity_tol
-        near = np.nonzero(((b_hi >= lo_a) & (b_lo <= hi_a)).all(axis=1))[0]
-        for ib in range(0, near.size, chunk):
-            idx = near[ib:ib + chunk]
-            dist, mid = _segment_min_distances(sa0, sa1, b0[idx], b1[idx])
-            ii, jj = np.nonzero(dist < proximity_tol)
-            found.extend((ia + i, idx[j], mid[i, j, 1], mid[i, j, 0]) for i, j in zip(ii, jj))
-    found.sort()
-    return [PlanePoint(w=float(w), sigma=float(sigma)) for _, _, w, sigma in found]
+    for ia in range(0, a0.shape[0], _AUDIT_CHUNK):
+        lo, hi = a_lo[ia:ia + _AUDIT_CHUNK], a_hi[ia:ia + _AUDIT_CHUNK]
+        near = np.flatnonzero(((b_hi >= lo.min(axis=0)) & (b_lo <= hi.max(axis=0))).all(axis=1))
+        nlo, nhi = b_lo[near].T, b_hi[near].T
+        i, j = np.nonzero((nhi[0] >= lo[:, :1]) & (nlo[0] <= hi[:, :1])
+                          & (nhi[1] >= lo[:, 1:]) & (nlo[1] <= hi[:, 1:]))
+        i, j = ia + i, near[j]
+        dist, mid = _segment_min_distances(a0[i], a1[i], b0[j], b1[j])
+        found.append(mid[dist < proximity_tol])
+    return [PlanePoint(w=w, sigma=sigma) for sigma, w in np.concatenate(found).tolist()]

@@ -286,18 +286,25 @@ def criterion_9_field_geometry() -> list[CriterionResult]:
     worst_grad = max(abs(crossing_gradient(2, r, q)) for r in recs)
     grad_ok = worst_grad <= 1e-3
 
-    # off-axis intersection audit over the window
+    # off-axis intersection audit over the window, each sub-stage timed
+    stage = _Laps()
     grid = sample_field_grid(2, (0.1, 20.0), (-10.0, 10.0), (400, 600),
                              QuadratureSpec(tol=1e-11))
-    r_lines = [refine_field_line(2, l, q) for l in extract_field_lines(grid, R_LINE)]
-    i_lines = [refine_field_line(2, l, q) for l in extract_field_lines(grid, I_LINE)]
+    grid_s = stage()
+    families = [extract_field_lines(grid, which) for which in (R_LINE, I_LINE)]
+    extract_s = stage()
+    r_lines, i_lines = ([refine_field_line(2, l, q) for l in lines] for lines in families)
+    newton_s = stage()
     hits = intersection_audit(r_lines, i_lines, 1e-4)
+    audit_s = stage()
     audit_ok = len(hits) == 0
     out.append(CriterionResult(
         "C9.geometry", "perpendicular crossings and off-axis audit",
         grad_ok and audit_ok,
         f"max |dw/dsigma| {worst_grad:.2e} (<=1e-3), "
-        f"audit hits {len(hits)} over {len(r_lines)}R x {len(i_lines)}I lines (=0)",
+        f"audit hits {len(hits)} over {len(r_lines)}R x {len(i_lines)}I lines (=0); "
+        f"grid {grid_s:.2f}s, lines {extract_s:.2f}s, Newton {newton_s:.2f}s, "
+        f"audit {audit_s:.2f}s",
         seconds=laps()))
 
     # asymptote gaps for branches 0..3

@@ -120,8 +120,7 @@ def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
     return best
 
 
-def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec,
-                    _rescan: bool = True) -> list[ZeroRecord]:
+def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec) -> list[ZeroRecord]:
     """Locate every resolvable zero of R(0, w) on (0, w_max], in order.
 
     Brackets are kept only where both endpoint values clear their error
@@ -146,8 +145,7 @@ def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec,
             continue
         alpha = _illinois(lambda x: eval_transform(n, PlanePoint(x, 0.0), q).re,
                           float(ws[a]), float(ws[b]), float(re[a]), float(re[b]))
-        if _rescan:
-            _confirm_single_crossing(n, float(ws[a]), float(ws[b]), q)
+        _confirm_single_crossing(n, float(ws[a]), float(ws[b]), q)
         f, _, e = eval_derivatives(n, (0, 1), 0.0, alpha, q)
         records.append(ZeroRecord(n=n, index=idx, alpha=alpha,
                                   f_prime=float(f[1, 0]), residual=float(abs(f[0, 0]) + e[0, 0])))

@@ -110,6 +110,21 @@ def test_l2_series_matches_gaussian():
             assert not r.truncation_flag
 
 
+def test_l2_series_n1_stops_at_the_rounding_floor():
+    # at n = 1 the tightened tolerances of orders 23 and 24 (m = 12) lie
+    # below the kernel's rounding floor: the series ends at m = 11, flagged,
+    # and equals the closed form's partial sum within its estimate
+    for w, sigma in ((0.5, 2.0), (0.5, 3.0), (2.5, 2.0)):
+        r = l2_series(1, PlanePoint(w, sigma), 12, Q)
+        assert r.truncation_flag and r.m_used == 11
+        x = sigma * sigma / 2
+        partial = math.pi * math.exp(-w * w / 2) * math.fsum(
+            x ** m / math.factorial(m) for m in range(r.m_used + 1))
+        assert abs(r.value - partial) <= r.err_estimate
+    with pytest.raises(ToleranceNotMetError):
+        derivative_profile(1, 0.5, 24, Q)
+
+
 def test_l2_series_requires_only_the_orders_it_reads():
     # at T = 2.3 the n = 2 tail bound meets the tolerance of orders <= 2 but
     # not of the higher ones: a series that stops at m = 1 must still return,

@@ -225,3 +225,216 @@ def test_refinement_gradient_components_match_derivative():
     i_sigma, i_w = _gradient_from_derivative(I_LINE, d.re, d.im)
     assert r_sigma == pytest.approx((up.re - dn.re) / (2 * h), abs=1e-7)
     assert i_sigma == pytest.approx((up.im - dn.im) / (2 * h), abs=1e-7)
+
+
+# ------------------------------------------------------------ equivalence
+
+
+def _stub_center_values(monkeypatch, value):
+    """Make the saddle-center evaluation return R = value(sigma, w) and
+    I = -value(sigma, w), with a zero error estimate."""
+    from supergauss import fieldlines as fl
+    from supergauss.transform import EvalResult
+
+    def fake(n, p, q):
+        v = float(value(p.sigma, p.w))
+        return EvalResult(v, -v, 0.0)
+    monkeypatch.setattr(fl, "eval_transform", fake)
+
+
+def _reference_extract(grid, which, center_positive=None):
+    """The per-cell marching-squares loop the array version replaced.
+
+    ``center_positive(sigma, w)`` decides a saddle cell; by default the
+    center is evaluated alone at tolerance q.tol * magnitude_scale.
+    """
+    from supergauss import eval_transform, magnitude_scale
+    from supergauss import fieldlines as fl
+
+    if center_positive is None:
+        def center_positive(sigma, w):
+            qc = grid.q.scaled(magnitude_scale(grid.n, sigma))
+            cv = eval_transform(grid.n, PlanePoint(w, sigma), qc)
+            cval = cv.re if which == R_LINE else cv.im
+            return cval > fl._SNAP_FACTOR * cv.err_estimate
+
+    def edge_key(edge, i, j):
+        return (("s", i, j), ("w", i + 1, j), ("s", i, j + 1), ("w", i, j))[edge]
+
+    def interp(p0, v0, p1, v1):
+        theta = v0 / (v0 - v1)
+        theta = min(max(theta, 0.0), 1.0)
+        return (float(p0[0] + theta * (p1[0] - p0[0])),
+                float(p0[1] + theta * (p1[1] - p0[1])))
+
+    vals = grid.component(which)
+    pos = vals > fl._SNAP_FACTOR * grid.err
+    sig, ws = grid.sigma_axis, grid.w_axis
+    crossings, segments = {}, []
+    for i in range(sig.size - 1):
+        for j in range(ws.size - 1):
+            bits = (int(pos[i, j]) | (int(pos[i + 1, j]) << 1)
+                    | (int(pos[i + 1, j + 1]) << 2) | (int(pos[i, j + 1]) << 3))
+            if bits in (0, 15):
+                continue
+            if bits in (5, 10):
+                center = (0.5 * (sig[i] + sig[i + 1]), 0.5 * (ws[j] + ws[j + 1]))
+                pairs = fl._SADDLES[(bits, bool(center_positive(*center)))]
+            else:
+                pairs = fl._CASES[bits]
+            corner_pos = ((sig[i], ws[j]), (sig[i + 1], ws[j]),
+                          (sig[i + 1], ws[j + 1]), (sig[i], ws[j + 1]))
+            corner_val = (vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1])
+            for pair in pairs:
+                keys = []
+                for e in pair:
+                    key = edge_key(e, i, j)
+                    if key not in crossings:
+                        a, b = ((0, 1), (1, 2), (3, 2), (0, 3))[e]
+                        crossings[key] = interp(corner_pos[a], corner_val[a],
+                                                corner_pos[b], corner_val[b])
+                    keys.append(key)
+                segments.append(tuple(keys))
+
+    adjacency = {}
+    for a, b in segments:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    visited, lines = set(), []
+    starts = sorted(k for k, v in adjacency.items() if len(v) == 1)
+    starts += sorted(k for k, v in adjacency.items() if len(v) > 1)
+    for start in starts:
+        if start in visited:
+            continue
+        chain, cur = [start], start
+        visited.add(start)
+        while True:
+            nxt = [k for k in adjacency[cur] if k not in visited]
+            if not nxt:
+                break
+            cur = sorted(nxt)[0]
+            visited.add(cur)
+            chain.append(cur)
+        if len(chain) >= 2:
+            pts = tuple(PlanePoint(w=crossings[k][1], sigma=crossings[k][0]) for k in chain)
+            lines.append(FieldLine(which=which, points=pts))
+    return lines + fl._axis_lines(grid, which)
+
+
+def _random_sign_grid(seed, shape):
+    from supergauss.fieldlines import GridField
+
+    rng = np.random.default_rng(seed)
+    ns, nw = shape
+    re, im = rng.standard_normal((2, ns, nw))
+    # some magnitudes sit inside the snap band, so a positive value can read
+    # as nonpositive and interpolation can leave [0, 1]
+    err = np.where(rng.random((ns, nw)) < 0.2, 0.5, 0.0)
+    return GridField(n=2, sigma_axis=np.sort(rng.uniform(-1.0, 3.0, ns)),
+                     w_axis=np.sort(rng.uniform(-2.0, 5.0, nw)),
+                     re=re, im=im, err=err, q=Q)
+
+
+@pytest.mark.parametrize("seed, shape", [(1, (23, 31)), (2, (40, 17)), (3, (2, 9))])
+def test_extraction_matches_per_cell_reference_on_random_signs(monkeypatch, seed, shape):
+    from supergauss import fieldlines as fl
+
+    grid = _random_sign_grid(seed, shape)
+    centers = {
+        "positive": lambda s, w: 1.0,
+        "negative": lambda s, w: -1.0,
+        "mixed": lambda s, w: math.sin(37.0 * s + 101.0 * w),
+    }
+    saddles = 0
+    for name, value in centers.items():
+        _stub_center_values(monkeypatch, value)
+        for which in (R_LINE, I_LINE):
+            pos = grid.component(which) > fl._SNAP_FACTOR * grid.err
+            bits = (pos[:-1, :-1] + 2 * pos[1:, :-1] + 4 * pos[1:, 1:] + 8 * pos[:-1, 1:])
+            saddles += int(np.isin(bits, (5, 10)).sum())
+            sign = 1.0 if which == R_LINE else -1.0
+            want = _reference_extract(grid, which, lambda s, w: sign * value(s, w) > 0.0)
+            assert extract_field_lines(grid, which) == want, (name, which)
+    assert shape[0] == 2 or saddles > 0
+
+
+# the perfbench program windows (C9, figure 10, figure 2) at 1/8 resolution
+_PROGRAM_WINDOWS = (
+    (2, (0.0, 20.0), (-10.0, 10.0), (25, 37)),
+    (2, (0.0, 2.0), (0.0, 13.0), (20, 52)),
+    (3, (0.5, 6.0), (0.0, 6.0), (27, 32)),
+)
+
+
+@pytest.mark.parametrize("n, srange, wrange, resolution", _PROGRAM_WINDOWS)
+def test_extraction_matches_per_cell_reference_on_program_windows(n, srange, wrange,
+                                                                  resolution):
+    grid = sample_field_grid(n, srange, wrange, resolution, QuadratureSpec(tol=1e-11))
+    for which in (R_LINE, I_LINE):
+        got = extract_field_lines(grid, which)
+        assert got and got == _reference_extract(grid, which)
+
+
+def _all_pairs_audit(r_lines, i_lines, tol):
+    from supergauss.fieldlines import _segment_arrays, _segment_min_distances
+
+    a0, a1 = _segment_arrays(r_lines)
+    b0, b1 = _segment_arrays(i_lines)
+    dist, mid = _segment_min_distances(a0[:, None], a1[:, None], b0[None], b1[None])
+    return [PlanePoint(w=float(w), sigma=float(s)) for s, w in mid[dist < tol]]
+
+
+def _walk(rng, start, steps, scale):
+    pts = start + np.cumsum(rng.normal(0.0, scale, (steps, 2)), axis=0)
+    return [PlanePoint(w=float(w), sigma=float(s)) for s, w in pts]
+
+
+def test_audit_matches_all_pairs_scan():
+    rng = np.random.default_rng(7)
+    tol = 1e-3
+    r_pts = [_walk(rng, rng.uniform(0, 4, 2), 150, 0.05) for _ in range(3)]
+    i_pts = [_walk(rng, rng.uniform(0, 4, 2), 150, 0.05) for _ in range(3)]
+    # planted contacts far from the random walks, just inside and just
+    # outside tol: side by side (a gap in sigma) and end to end (a gap in
+    # w), each on both sides, and an exact crossing
+    for k, gap in enumerate((0.999 * tol, 1.001 * tol, 0.5 * tol, 2.0 * tol)):
+        x0 = 10.0 + k
+        r_pts.append([PlanePoint(w=5.0, sigma=x0), PlanePoint(w=5.3, sigma=x0)])
+        for side in (1.0, -1.0):
+            i_pts.append([PlanePoint(w=5.1, sigma=x0 + side * gap),
+                          PlanePoint(w=5.2, sigma=x0 + side * gap)])
+            i_pts.append([PlanePoint(w=5.15 + side * (0.15 + gap), sigma=x0),
+                          PlanePoint(w=5.15 + side * 0.45, sigma=x0)])
+    r_pts.append([PlanePoint(w=20.0, sigma=20.0), PlanePoint(w=21.0, sigma=21.0)])
+    i_pts.append([PlanePoint(w=21.0, sigma=20.0), PlanePoint(w=20.0, sigma=21.0)])
+    r_lines = [FieldLine(which=R_LINE, points=tuple(p), max_residual=0.0) for p in r_pts]
+    i_lines = [FieldLine(which=I_LINE, points=tuple(p), max_residual=0.0) for p in i_pts]
+
+    want = _all_pairs_audit(r_lines, i_lines, tol)
+    got = intersection_audit(r_lines, i_lines, tol)
+    assert got == want
+    planted = [h for h in got if h.sigma >= 10.0 - 1.0]
+    assert len(planted) == 9        # 0.999 tol and 0.5 tol four times, the crossing
+    assert len(got) > len(planted)  # the random walks meet too
+
+
+# coarse windows whose R and I grids both have saddle cells (cases 5 and 10)
+_SADDLE_WINDOWS = (
+    (2, (0.0, 20.0), (-10.0, 10.0), (9, 13)),
+    (2, (-3.0, 3.0), (-12.0, 12.0), (7, 11)),
+)
+
+
+@pytest.mark.parametrize("n, srange, wrange, resolution", _SADDLE_WINDOWS)
+def test_extraction_matches_per_cell_reference_on_real_saddles(n, srange, wrange,
+                                                               resolution):
+    # the saddle centers are evaluated for real, as the reference does
+    from supergauss import fieldlines as fl
+
+    grid = sample_field_grid(n, srange, wrange, resolution, QuadratureSpec(tol=1e-11))
+    for which in (R_LINE, I_LINE):
+        pos = grid.component(which) > fl._SNAP_FACTOR * grid.err
+        bits = (pos[:-1, :-1] + 2 * pos[1:, :-1] + 4 * pos[1:, 1:] + 8 * pos[:-1, 1:])
+        assert np.isin(bits, (5, 10)).any()
+        got = extract_field_lines(grid, which)
+        assert got and got == _reference_extract(grid, which)
