@@ -5,7 +5,10 @@ Independent oracle: the transform of exp(-t^4) is evaluated through its exact
 Maclaurin series, whose coefficients are Gamma((2p+1)/4) / (2 (2p)!).  Working
 precision grows with w^(4/3) to absorb the cancellation, so values are good to
 far beyond float64 down to magnitudes around 1e-40.  Zeros are bracketed by an
-adaptive sign scan and polished with mpmath's bracketed root finder.
+adaptive sign scan, located with mpmath's bracketed root finder, then
+Newton-polished at the series' working precision until the last step is
+below 1e-30 of the zero.  (The root finder's own tolerance is absolute, and
+|F| near the deep zeros is only ~1e-35, so it stops early there.)
 
 Outputs (committed, regenerated only when this script changes):
     tests/data/f4_zero_goldens.csv          25-digit zeros for the test suite
@@ -22,9 +25,14 @@ COUNT = 44
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
+def working_dps(w):
+    """Digits that absorb the series' cancellation at w, with 60 to spare."""
+    return 60 + int(2.0 * float(abs(w)) ** (4 / 3) / float(mp.log(10)))
+
+
 def f4(w, derivs=0):
     """F(w) for the t^4 kernel and its first `derivs` derivatives, via series."""
-    dps = 60 + int(2.0 * float(abs(w)) ** (4 / 3) / float(mp.log(10)))
+    dps = working_dps(w)
     with mp.workdps(dps):
         w = mp.mpf(w)
         out = [mp.mpf(0)] * (derivs + 1)
@@ -45,6 +53,18 @@ def f4(w, derivs=0):
         return [mp.mpf(x) for x in out]
 
 
+def polish(root):
+    """Newton steps at f4's working precision until |F/F'| <= 1e-30 * root."""
+    for _ in range(20):
+        with mp.workdps(working_dps(root)):
+            val, d1 = f4(root, derivs=1)
+            step = val / d1
+            root = root - step
+            if abs(step) <= mp.mpf(10) ** -30 * abs(root):
+                return root
+    raise ArithmeticError(f"Newton polish did not converge near {mp.nstr(root, 20)}")
+
+
 def find_zeros(count):
     zeros = []
     prev_w, prev_f = mp.mpf(0), f4(0)[0]
@@ -54,7 +74,7 @@ def find_zeros(count):
         if (f < 0) != (prev_f < 0):
             root = mp.findroot(lambda x: f4(x)[0], (prev_w, w),
                                solver="anderson", tol=mp.mpf(10) ** -40)
-            zeros.append(root)
+            zeros.append(polish(root))
         prev_w, prev_f = w, f
         w += mp.mpf("0.05") if w < 10 else mp.mpf("0.2")
     return zeros

@@ -1,26 +1,22 @@
-"""Zero-table persistence: cache files, atomic writes, round-trip format.
+"""Zero-table persistence: cache files and atomic writes.
 
-The on-disk format is one CSV per (n, tol) key with the fixed header
-``n,index,alpha,f_prime,residual`` and ascending indices.  Floats are written
-with repr (shortest round-trip decimal, at most 17 significant digits), so
-emit -> parse -> emit is byte-identical.  The cache directory defaults to
-~/.cache/supergauss and is overridden by the POLYA_CACHE_DIR environment
+The cache holds one CSV per (n, tol) key in the zero-table format of
+:mod:`supergauss.zeros` (``HEADER``, :func:`format_zero_cache`,
+:func:`parse_zero_cache`, re-exported here).  The cache directory defaults
+to ~/.cache/supergauss and is overridden by the POLYA_CACHE_DIR environment
 variable.  All writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import tempfile
 from pathlib import Path
 
 from .transform import QuadratureSpec
-from .zeros import ZeroRecord, scan_real_zeros
+from .zeros import HEADER, ZeroRecord, format_zero_cache, parse_zero_cache, scan_real_zeros
 
 CACHE_ENV = "POLYA_CACHE_DIR"
-HEADER = ["n", "index", "alpha", "f_prime", "residual"]
 
 
 def cache_dir() -> Path:
@@ -32,32 +28,6 @@ def cache_dir() -> Path:
 
 def zero_cache_path(n: int, tol: float) -> Path:
     return cache_dir() / f"zeros_n{n}_tol{tol!r}.csv"
-
-
-def format_zero_cache(records: list[ZeroRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HEADER)
-    for r in records:
-        writer.writerow([r.n, r.index, repr(r.alpha), repr(r.f_prime), repr(r.residual)])
-    return buf.getvalue()
-
-
-def parse_zero_cache(text: str) -> list[ZeroRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != HEADER:
-        raise ValueError(f"zero cache header must be {','.join(HEADER)}")
-    records = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        records.append(ZeroRecord(n=int(row[0]), index=int(row[1]),
-                                  alpha=float(row[2]), f_prime=float(row[3]),
-                                  residual=float(row[4])))
-    for a, b in zip(records, records[1:]):
-        if b.index != a.index + 1:
-            raise ValueError("zero cache indices must be ascending without gaps")
-    return records
 
 
 def atomic_write_text(path: Path, text: str) -> None:

@@ -244,14 +244,15 @@ def _cmd_fieldlines(args) -> int:
     for which in whichs:
         rows, next_id = _fieldline_rows(refined[which], next_id)
         buf.writelines(rows)
+    curves = []
     if args.asymptotes and s1 > 0:
-        sig = [s for s in np.linspace(max(s0, 0.3), s1, 120)]
-        curves = asymptote_curves(args.n, list(range(4)), sig)
-        for c in curves:
-            for p in c.samples:
-                if w0 <= p.w <= w1:
-                    buf.write(f"{next_id},asymptote,{p.sigma!r},{p.w!r}\n")
-            next_id += 1
+        curves = asymptote_curves(args.n, list(range(4)),
+                                  list(np.linspace(max(s0, 0.3), s1, 120)))
+    for c in curves:
+        for p in c.samples:
+            if w0 <= p.w <= w1:
+                buf.write(f"{next_id},asymptote,{p.sigma!r},{p.w!r}\n")
+        next_id += 1
     _write_out(args.out, buf.getvalue())
     if args.svg:
         ds = Dataset(x_label="sigma", y_label="w", title=f"nodal lines, kernel exponent {2 * args.n}")
@@ -259,12 +260,10 @@ def _cmd_fieldlines(args) -> int:
             ds.add_polyline([(p.sigma, p.w) for p in line.points], color="black")
         for line in refined.get(I_LINE, []):
             ds.add_polyline([(p.sigma, p.w) for p in line.points], color="green")
-        if args.asymptotes and s1 > 0:
-            for c in asymptote_curves(args.n, list(range(4)),
-                                      [s for s in np.linspace(max(s0, 0.3), s1, 120)]):
-                pts = [(p.sigma, p.w) for p in c.samples if w0 <= p.w <= w1]
-                if len(pts) >= 2:
-                    ds.add_dashed(pts)
+        for c in curves:
+            pts = [(p.sigma, p.w) for p in c.samples if w0 <= p.w <= w1]
+            if len(pts) >= 2:
+                ds.add_dashed(pts)
         atomic_write_text(Path(args.svg), emit_svg(ds))
     return EXIT_OK
 

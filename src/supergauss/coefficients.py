@@ -36,6 +36,10 @@ _EPS = float(np.finfo(np.float64).eps)
 LEIBNIZ_M_CAP = 8
 DIRECT_M_CAP = 3
 DIRECT_W_CAP = 8.0
+_DIRECT_ORDER = 12      # Gauss-Legendre order of the direct route's panels
+SERIES_REL_STOP = 1e-7
+SERIES_M_CAP = 12
+MONOTONE_SLACK = 1e-12
 
 _METHODS = ("leibniz", "direct2d")
 
@@ -98,20 +102,18 @@ def _leibniz_from_profile(n: int, m: int, w: float,
                         err_estimate=err, alarm=alarm)
 
 
-def a_coeff(n: int, m_list: list[int], w: float, q: QuadratureSpec,
-            m_cap: int = LEIBNIZ_M_CAP) -> list[ACoeffSample]:
+def a_coeff(n: int, m_list: list[int], w: float, q: QuadratureSpec) -> list[ACoeffSample]:
     """Coefficients for every m in ``m_list`` at one w by the Leibniz route,
     all from one derivative profile.
 
-    The binomial sum cancels more strongly as m grows; the cap defaults to 8,
-    and raising it only makes sense together with a tightened q.tol (the
-    profile divides the tolerance of orders 2m - 1 and 2m by 4^(m - 8)
-    beyond the default cap).
+    The binomial sum cancels more strongly as m grows, so m is capped at
+    LEIBNIZ_M_CAP = 8; :func:`l2_series` reaches beyond it through
+    :func:`derivative_profile`'s tightened tolerances.
     """
     n = check_kernel_index(n)
     top = max(m_list)
-    if top > m_cap:
-        raise ValueError(f"max m {top} above cap {m_cap}")
+    if top > LEIBNIZ_M_CAP:
+        raise ValueError(f"max m {top} above cap {LEIBNIZ_M_CAP}")
     profile = derivative_profile(n, w, 2 * top, q)
     return [_leibniz_from_profile(n, m, w, profile) for m in m_list]
 
@@ -149,7 +151,8 @@ def a_coeff_direct(n: int, m: int, w: float, q2d: QuadratureSpec) -> ACoeffSampl
 
     Desk-scale cross-check: m <= 3 and |w| <= 8.  The imaginary part must
     vanish by X -> -X symmetry; its magnitude is folded into the error
-    estimate as a diagnostic.
+    estimate as a diagnostic.  Panels take order-_DIRECT_ORDER (12) rules,
+    checked against twice that order.
     """
     n = check_kernel_index(n)
     if m > DIRECT_M_CAP:
@@ -172,8 +175,8 @@ def a_coeff_direct(n: int, m: int, w: float, q2d: QuadratureSpec) -> ACoeffSampl
         floor = float(np.abs(left) @ E @ np.abs(xw))
         return float(re), float(im), floor
 
-    re1, im1, _ = rule(q2d.panel_order)
-    re2, im2, floor = rule(2 * q2d.panel_order)
+    re1, im1, _ = rule(_DIRECT_ORDER)
+    re2, im2, floor = rule(2 * _DIRECT_ORDER)
     err = math.hypot(re1 - re2, im1 - im2) + tol_tail + 8.0 * _EPS * floor + abs(im2)
     return ACoeffSample(n=n, m=m, w=w, value=re2, method="direct2d",
                         err_estimate=err, alarm=False)
@@ -186,22 +189,23 @@ class L2Series(NamedTuple):
     err_estimate: float
 
 
-def l2_series(n: int, p: PlanePoint, m_max: int, q: QuadratureSpec,
-              rel_stop: float = 1e-7, m_cap: int = 12) -> L2Series:
-    """Partial sum (1/2) sum_m sigma^(2m)/(2m)! A_2m(w) up to m_max.
+def l2_series(n: int, p: PlanePoint, m_max: int, q: QuadratureSpec) -> L2Series:
+    """Partial sum (1/2) sum_m sigma^(2m)/(2m)! A_2m(w) up to m_max <= 12.
 
-    Stops early once a term falls below rel_stop times the running sum; the
-    truncation flag is set when the last computed term was still above that
-    threshold at m_max.  Beyond m = 8 the orders 2m - 1 and 2m carry
-    tightened tolerances; if any of them misses its tolerance, for whatever
-    cause (at n = 1 they lie below the kernel's rounding floor from m = 12),
-    the series ends at the last m it resolved, with the truncation flag set,
-    instead of raising.  err_estimate covers the quadrature error of the
-    terms summed, not the tail the series left out.
+    Stops early once a term t_m falls below SERIES_REL_STOP times the running
+    sum; the truncation flag is set when the last computed term was still
+    above that threshold at m_max.  Beyond m = 8 the orders 2m - 1 and 2m
+    carry tightened tolerances; if any of them misses its tolerance, for
+    whatever cause (at n = 1 they lie below the kernel's rounding floor from
+    m = 12), the series ends at the last m it resolved, with the truncation
+    flag set, instead of raising.  err_estimate covers the quadrature error
+    of the terms summed and, after an early stop, the dropped tail as a
+    geometric series in r = |t_m / t_(m-1)|: |t_m| r / (1 - r).  That is a
+    bound wherever the term ratios decrease, as they do at n = 1.
     """
     n = check_kernel_index(n)
-    if m_max > m_cap:
-        raise ValueError(f"m_max={m_max} above cap {m_cap}")
+    if m_max > SERIES_M_CAP:
+        raise ValueError(f"m_max={m_max} above cap {SERIES_M_CAP}")
     # one pass covers m <= 8.  Near the float64 floor (n = 1, tol 1e-14)
     # an order the sum never reads can miss its tolerance and fail that
     # pass; then, as for every m > 8 (whose tightened orders n = 1 misses
@@ -216,6 +220,7 @@ def l2_series(n: int, p: PlanePoint, m_max: int, q: QuadratureSpec,
     err = 0.0
     truncated = True
     m_used = 0
+    prev = math.inf
     for m in range(m_max + 1):
         if 2 * m >= len(profile):
             try:
@@ -230,19 +235,22 @@ def l2_series(n: int, p: PlanePoint, m_max: int, q: QuadratureSpec,
         total += term
         err += 0.5 * factor * s.err_estimate
         m_used = m
-        if abs(term) <= rel_stop * abs(total):
+        if abs(term) <= SERIES_REL_STOP * abs(total):
+            # a zero term stops the series, so prev is nonzero here
+            r = abs(term / prev)
+            err += abs(term) * r / (1.0 - r) if r < 1.0 else math.inf
             truncated = False
             break
+        prev = term
     return L2Series(value=total, truncation_flag=truncated,
                     m_used=m_used, err_estimate=err)
 
 
-def monotonicity_profile(n: int, w: float, sigma_grid: list[float],
-                         q: QuadratureSpec, slack: float = 1e-12):
+def monotonicity_profile(n: int, w: float, sigma_grid: list[float], q: QuadratureSpec):
     """L^2 sampled by direct evaluation along ascending nonnegative sigma.
 
     Returns (samples, monotone_flag) where samples is a list of (sigma, L^2)
-    and the flag is true iff successive differences are >= -slack.
+    and the flag is true iff successive differences are >= -MONOTONE_SLACK.
     """
     n = check_kernel_index(n)
     grid = list(sigma_grid)
@@ -251,7 +259,7 @@ def monotonicity_profile(n: int, w: float, sigma_grid: list[float],
     re, im, _ = eval_derivatives(n, (0,), grid, w, q, q.tol * magnitude_scale(n, grid))
     vals = (re[0] * re[0] + im[0] * im[0]).tolist()
     samples = list(zip(grid, vals))
-    monotone = all(b - a >= -slack for a, b in zip(vals, vals[1:]))
+    monotone = all(b - a >= -MONOTONE_SLACK for a, b in zip(vals, vals[1:]))
     return samples, monotone
 
 

@@ -303,7 +303,7 @@ def refine_field_line(n: int, line: FieldLine, q: QuadratureSpec,
         s, ws = sigma[active], w[active]
         scale = magnitude_scale(n, s)
         tol = q.tol * scale
-        re, im, err = _point_moments(n, s, ws, tol, q, (0, 1))
+        re, im, err = _point_moments(n, s, ws, tol, (0, 1))
         g = re[0] if line.which == R_LINE else im[0]
         resid[active] = np.abs(g) / scale
         moving = np.abs(g) > tol

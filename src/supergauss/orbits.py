@@ -91,15 +91,17 @@ def angular_momentum(n: int, p: PlanePoint, v: float, q: QuadratureSpec) -> floa
 
 
 def angular_momentum_checks(n: int, p: PlanePoint, v: float,
-                            q: QuadratureSpec, h: float = 1e-3) -> AngularMomentumChecks:
+                            q: QuadratureSpec) -> AngularMomentumChecks:
     """Compute J three ways with matched error budgets.
 
     direct:          v (R I_w - I R_w) with derivatives from F'
     cauchy_riemann:  v (R R_sigma + I I_sigma), using R_sigma + i I_sigma = -i F'
-    finite diff:     (v/2) d(L^2)/dsigma by central differences at h and h/2,
+    finite diff:     (v/2) d(L^2)/dsigma by central differences at steps
+                     h = 1e-3 and h/2,
                      with a Richardson-style error estimate.
     """
     n = check_kernel_index(n)
+    h = 1e-3
     # F and F' at p, then F at the four difference points, in one pass; F'
     # is not read there, so its tolerance there is inf
     sigmas = p.sigma + np.array([0.0, h, -h, h / 2, -h / 2])

@@ -28,7 +28,7 @@ from .zeros import ZeroRecord
 
 _EPS = float(np.finfo(np.float64).eps)
 
-M_CAP_DEFAULT = 12
+M_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ def product_residual(n: int, spec: ProductSpec, w_grid: list[float],
     return rows, max((r for _, r in rows), default=0.0)
 
 
-def t_table(spec: ProductSpec, w: float, m_max: int,
-            m_cap: int = M_CAP_DEFAULT) -> TTable:
+def t_table(spec: ProductSpec, w: float, m_max: int) -> TTable:
     """Fill T_{K,m}(w) from the K = 1 base cases and the three-term recursion.
 
     Base row (c^2 restored so that T_{K,0} = 2 P_K^2 holds identically):
@@ -113,8 +112,8 @@ def t_table(spec: ProductSpec, w: float, m_max: int,
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
-    if m_max > m_cap:
-        raise ValueError(f"m_max={m_max} above cap {m_cap}")
+    if m_max > M_CAP:
+        raise ValueError(f"m_max={m_max} above cap {M_CAP}")
     N = spec.N
     alphas = spec.alphas
     c2 = spec.c * spec.c

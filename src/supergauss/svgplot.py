@@ -1,6 +1,6 @@
 """Hand-rolled SVG emission for figure datasets.
 
-Only primitives are used (line, polyline, circle, text), coordinates are
+Only primitives are used (line, polyline, text), coordinates are
 formatted with repr, and element order is fixed, so the emitted document is
 byte-identical across runs for identical inputs.
 """
@@ -19,14 +19,13 @@ _MARGIN = 54
 
 @dataclass
 class Dataset:
-    """Polylines and scatter points in data coordinates."""
+    """Solid and dashed polylines in data coordinates."""
 
     x_label: str
     y_label: str
     title: str = ""
     polylines: list[tuple[list[tuple[float, float]], str, float]] = field(default_factory=list)
     dashed: list[tuple[list[tuple[float, float]], str, float]] = field(default_factory=list)
-    scatter: list[tuple[float, float]] = field(default_factory=list)
 
     def add_polyline(self, points, color="black", width=1.2):
         self.polylines.append((list(points), color, width))
@@ -36,7 +35,7 @@ class Dataset:
 
     def is_empty(self) -> bool:
         return not (any(p for p, _, _ in self.polylines)
-                    or any(p for p, _, _ in self.dashed) or self.scatter)
+                    or any(p for p, _, _ in self.dashed))
 
 
 def _bounds(ds: Dataset):
@@ -44,8 +43,6 @@ def _bounds(ds: Dataset):
     for pts, _, _ in ds.polylines + ds.dashed:
         xs.extend(p[0] for p in pts)
         ys.extend(p[1] for p in pts)
-    xs.extend(p[0] for p in ds.scatter)
-    ys.extend(p[1] for p in ds.scatter)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     if x1 - x0 < 1e-300:
@@ -76,7 +73,7 @@ def _fmt(x: float) -> str:
     return repr(round(float(x), 3))
 
 
-def emit_svg(dataset: Dataset, style: str = "plain") -> str:
+def emit_svg(dataset: Dataset) -> str:
     """Render the dataset to an SVG document string."""
     if dataset.is_empty():
         raise EmitError("refusing to emit an empty dataset")
@@ -128,7 +125,5 @@ def emit_svg(dataset: Dataset, style: str = "plain") -> str:
         coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                      f'stroke-width="{width}"/>')
-    for x, y in dataset.scatter:
-        parts.append(f'<circle cx="{_fmt(tx(x))}" cy="{_fmt(ty(y))}" r="2.5" fill="crimson"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

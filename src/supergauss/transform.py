@@ -24,10 +24,10 @@ requiring them, and Newton requires F' only at vertices still moving.
 :func:`_point_moments` has one refinement loop: while an (order, point)'s
 panel errors exceed half its tolerance, every panel holding at least its
 share of them is split.  The order-2p node terms are summed in float64 in
-groups of g <= 8 nodes and the group sums in long double, per panel and
-across panels (the order-p sums enter only the error estimate and stay in
-float64).  The rounding floor of the estimate, ((5 + g/2) eps + nodes *
-long double eps) * sum |a|(|cos| + |sin|), therefore barely grows with the
+groups of 8 nodes and the group sums in long double, per panel and across
+panels (the order-p sums enter only the error estimate and stay in
+float64).  The rounding floor of the estimate, (9 eps + nodes * long
+double eps) * sum |a|(|cos| + |sin|), therefore barely grows with the
 node count where long double is wider than float64, and is still a valid
 bound where it is not.  Grids
 (:func:`eval_transform_grid`) are one batched matrix product whose sums run
@@ -59,6 +59,11 @@ OVERFLOW_EXPONENT = 700.0
 # cos(wt)), and per unit of growth of exp(sigma*t).
 _PANEL_CAP = 0.5
 _SIGMA_CAP = 8.0
+
+# Gauss-Legendre order p of each panel (the estimate compares p with 2p), and
+# the panel count at which the refinement of :func:`_point_moments` stops.
+_ORDER = 16
+_MAX_PANELS = 4000
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -93,7 +98,7 @@ class PlanePoint:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budgets for one quadrature evaluation.
+    """Tolerance of one quadrature evaluation.
 
     ``tol`` is a target on the absolute error of the complex value.  The
     reachable floor scales with exp(peak_exponent(n, sigma)); callers working
@@ -101,23 +106,13 @@ class QuadratureSpec:
     """
 
     tol: float = 1e-10
-    max_panels: int = 4000
-    panel_order: int = 16
-    truncation_radius_override: float | None = None
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.panel_order < 4:
-            raise ValueError(f"panel_order must be >= 4, got {self.panel_order}")
-        if self.max_panels < 1:
-            raise ValueError(f"max_panels must be >= 1, got {self.max_panels}")
-        if self.truncation_radius_override is not None and not (self.truncation_radius_override > 0):
-            raise ValueError("truncation_radius_override must be positive")
 
     def scaled(self, factor: float) -> "QuadratureSpec":
-        return QuadratureSpec(self.tol * factor, self.max_panels,
-                              self.panel_order, self.truncation_radius_override)
+        return QuadratureSpec(self.tol * factor)
 
 
 @dataclass(frozen=True)
@@ -292,7 +287,7 @@ def eval_derivatives(n: int, ks, sigma, w, q: QuadratureSpec, tol=None,
     if sigma.shape != w.shape:
         sigma, w = np.broadcast_arrays(sigma, w)
     tol = q.tol if tol is None else tol
-    re, im, err = _point_moments(n, sigma, w, tol, q, ks)
+    re, im, err = _point_moments(n, sigma, w, tol, ks)
     if not (err <= tol).all():
         i, j = np.argwhere(~(err <= tol))[0]
         t = np.broadcast_to(tol, err.shape)[i, j]
@@ -312,14 +307,13 @@ def eval_transform(n: int, p: PlanePoint, q: QuadratureSpec) -> EvalResult:
     return EvalResult(float(re[0, 0]), float(im[0, 0]), float(err[0, 0]))
 
 
-def eval_derivative(n: int, k: int, p: PlanePoint, q: QuadratureSpec,
-                    k_cap: int = K_CAP_DEFAULT) -> EvalResult:
+def eval_derivative(n: int, k: int, p: PlanePoint, q: QuadratureSpec) -> EvalResult:
     """k-th z-derivative of F at p: i^k times the k-th t-moment integral.
 
     The one-order, one-point :func:`eval_derivatives`; k = 0 gives exactly
     :func:`eval_transform`.
     """
-    re, im, err = eval_derivatives(n, (k,), p.sigma, p.w, q, k_cap=k_cap)
+    re, im, err = eval_derivatives(n, (k,), p.sigma, p.w, q)
     return EvalResult(float(re[0, 0]), float(im[0, 0]), float(err[0, 0]))
 
 
@@ -353,15 +347,15 @@ def closed_form_gaussian(p: PlanePoint) -> EvalResult:
 _POINT_CHUNK_ELEMS = 1 << 17
 _GRID_CHUNK_ELEMS = 1 << 20
 
-# Order-2p node terms are summed in float64 in groups of at most this many,
-# which bounds each group's error by _GROUP * eps/2 of its absolute sum in
-# any summation order; the group sums are added in long double.
+# Order-2p node terms are summed in float64 in groups of this many (a divisor
+# of 2 * _ORDER), which bounds each group's error by _GROUP * eps/2 of its
+# absolute sum in any order; the group sums are added in long double.
 _GROUP = 8
 _LONG_EPS = float(np.finfo(np.longdouble).eps)
 
 
 def _shared_rule(n: int, sigma_max: float, w_max: float, orders: tuple[int, ...],
-                 tol_min: float, q: QuadratureSpec, edges: np.ndarray | None = None):
+                 tol_min: float, edges: np.ndarray | None = None):
     """One panel set on [-T, T] shared by every point of a batch.
 
     T is the truncation radius at the batch's largest |sigma|, largest moment
@@ -375,16 +369,13 @@ def _shared_rule(n: int, sigma_max: float, w_max: float, orders: tuple[int, ...]
     """
     _guard_overflow(n, sigma_max)
     if edges is None:
-        if q.truncation_radius_override is not None:
-            T = q.truncation_radius_override
-        else:
-            T = truncation_radius(n, sigma_max, max(orders), 0.5 * tol_min)
+        T = truncation_radius(n, sigma_max, max(orders), 0.5 * tol_min)
         edges = _panel_edges(T, w_max, sigma_max)
     tails = np.array([_tail_bound(n, sigma_max, k, float(edges[-1])) for k in orders])
     centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
     halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
     rules = []
-    for order in (q.panel_order, 2 * q.panel_order):
+    for order in (_ORDER, 2 * _ORDER):
         x, gw = _gl_rule(order)
         rules.append((centers + halves * x, halves * gw))
     return edges, tails, rules
@@ -403,8 +394,8 @@ def _panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules, orders: tupl
     Sums of a(t) * t^k * cos/sin(wt) over groups of nodes are batched matrix
     products of the node terms with the powers t^k.  At order p, which
     enters only the error estimate, a group is a panel.  At order 2p a group
-    holds at most _GROUP nodes and the group sums are added in long double,
-    so the rounding floor, ((5 + group/2) eps + nodes * long double eps) *
+    holds _GROUP nodes and the group sums are added in long double, so the
+    rounding floor, ((5 + _GROUP/2) eps + nodes * long double eps) *
     sum |a t^k|(|cos| + |sin|), barely grows with the panel count.
     Returns the order-2p moments (re, im) of shape (orders, points), the
     per-panel |order p - order 2p| of shape (orders, points, panels), and
@@ -421,7 +412,7 @@ def _panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules, orders: tupl
         sums = []
         for (t, wt), dtype in zip(rules, (np.float64, np.longdouble)):
             m = t.shape[1]
-            group = math.gcd(m, _GROUP) if dtype is np.longdouble else m
+            group = _GROUP if dtype is np.longdouble else m
             powers = (t[..., None] ** np.array(orders)).reshape(-1, group, len(orders))
             t = t.ravel()
             a = wt.ravel() * np.exp(-t ** (2 * n) + sigma[sl, None] * t)   # (points, nodes)
@@ -431,25 +422,25 @@ def _panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules, orders: tupl
                                    powers)                              # (groups, points, orders)
                          .reshape(panels, m // group, -1, len(orders)).sum(axis=1, dtype=dtype)
                          for f in (cos, sin)])                          # (P, points, orders)
-        (c1, s1), (c2, s2) = sums       # a, cos, sin, group and powers are order 2p's
+        (c1, s1), (c2, s2) = sums       # a, cos, sin and powers are order 2p's
         value[0, :, sl] = c2.sum(axis=0).T
         value[1, :, sl] = s2.sum(axis=0).T
         perr[:, sl] = np.hypot(c1 - c2, s1 - s2).transpose(2, 1, 0)
-        relative = (5.0 + 0.5 * group) * _EPS + t.size * _LONG_EPS
+        relative = (5.0 + 0.5 * _GROUP) * _EPS + t.size * _LONG_EPS
         floor[:, sl] = relative * ((a * (np.abs(cos) + np.abs(sin)))
                                    @ np.abs(powers.reshape(t.size, -1))).T
     return value, perr, floor
 
 
 def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
-                   q: QuadratureSpec, orders: tuple[int, ...]):
+                   orders: tuple[int, ...]):
     """Moments M_k(w_i - i sigma_i), k in ``orders``, at scattered points.
 
     ``tol`` broadcasts to (len(orders), len(sigma)).  Points go in chunks of
     about _POINT_CHUNK_ELEMS node terms, and each chunk shares one rule
     (:func:`_shared_rule`) sized for its smallest tolerance.  While some
     (order, point) has panel errors summing to more than half its tolerance
-    and fewer than q.max_panels panels are in use, every panel holding at
+    and fewer than _MAX_PANELS panels are in use, every panel holding at
     least its share of such a sum is split in two.  The
     error estimate of each point is the sum over panels of |order p - order
     2p|, plus the tail bound at the shared radius, plus the rounding floor
@@ -461,27 +452,27 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
         return out[0], out[1], out[2]
     tol = np.full(out.shape[1:], tol)
     rule = _shared_rule(n, float(np.abs(sigma).max()), float(np.abs(w).max()), orders,
-                        float(tol.min()), q)
+                        float(tol.min()))
     step = max(1, _POINT_CHUNK_ELEMS // rule[2][1][0].size)
     for c0 in range(0, sigma.size, step):
         sl = slice(c0, c0 + step)
         s, ws, ts = sigma[sl], w[sl], tol[:, sl]
         s_max, w_max = float(np.abs(s).max()), float(np.abs(ws).max())
         if step < sigma.size:
-            rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()), q)
+            rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()))
         while True:
             edges, tails, rules = rule
             value, perr, floor = _panel_moments(n, s, ws, rules, orders)
             total = perr.sum(axis=2)
             short = total > 0.5 * ts
             panels = edges.size - 1
-            if not short.any() or panels >= q.max_panels:
+            if not short.any() or panels >= _MAX_PANELS:
                 break
             share = (perr[short] / total[short][:, None]).max(axis=0)
             split = np.flatnonzero(share >= 1.0 / panels)
-            split = split[np.argsort(-share[split], kind="stable")[:q.max_panels - panels]]
+            split = split[np.argsort(-share[split], kind="stable")[:_MAX_PANELS - panels]]
             edges = np.sort(np.concatenate([edges, 0.5 * (edges[split] + edges[split + 1])]))
-            rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()), q, edges)
+            rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()), edges)
         out[:2, :, sl] = value
         out[2, :, sl] = total + tails[:, None] + floor
     return out[0], out[1], out[2]
@@ -505,7 +496,7 @@ def eval_transform_grid(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray,
     nw = w_axis.size
     tol = q.tol * magnitude_scale(n, sigma_axis)
     _, tails, rules = _shared_rule(n, float(np.abs(sigma_axis).max()),
-                                   float(np.abs(w_axis).max()), (0,), float(tol.min()), q)
+                                   float(np.abs(w_axis).max()), (0,), float(tol.min()))
     floor = _rounding_floor(rules[1])
     phases = []
     for t, _ in rules:

@@ -191,7 +191,7 @@ def criterion_5_coefficient_positivity() -> list[CriterionResult]:
 def criterion_6_cross_method() -> list[CriterionResult]:
     t0 = time.perf_counter()
     q = QuadratureSpec(tol=1e-12)
-    q2d = QuadratureSpec(tol=1e-10, panel_order=12)
+    q2d = QuadratureSpec(tol=1e-10)
     ok = True
     worst = 0.0
     for m in range(4):
@@ -339,7 +339,7 @@ def criterion_10_monotonicity() -> list[CriterionResult]:
     grid = [round(0.05 * i, 10) for i in range(101)]
     flags = []
     for w in (alpha1, alpha1 / 2):
-        _, monotone = monotonicity_profile(2, w, grid, q, slack=1e-12)
+        _, monotone = monotonicity_profile(2, w, grid, q)
         flags.append(monotone)
     ok = all(flags)
     return [CriterionResult("C10", "modulus growth away from the axis", ok,

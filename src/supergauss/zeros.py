@@ -15,6 +15,7 @@ arithmetic that needs deeper zero tables (see :func:`extended_zero_pool`).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -61,6 +62,38 @@ class ZeroRecord:
             raise ValueError("derivative at a simple zero cannot be exactly 0")
 
 
+# Zero tables (the runtime cache and the packaged pool) are CSV files with
+# this header and ascending indices.  Floats are written with repr (shortest
+# round-trip decimal), so emit -> parse -> emit is byte-identical.
+HEADER = ["n", "index", "alpha", "f_prime", "residual"]
+
+
+def format_zero_cache(records: list[ZeroRecord]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(HEADER)
+    for r in records:
+        writer.writerow([r.n, r.index, repr(r.alpha), repr(r.f_prime), repr(r.residual)])
+    return buf.getvalue()
+
+
+def parse_zero_cache(text: str) -> list[ZeroRecord]:
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0] != HEADER:
+        raise ValueError(f"zero cache header must be {','.join(HEADER)}")
+    records = []
+    for row in rows[1:]:
+        if not row:
+            continue
+        records.append(ZeroRecord(n=int(row[0]), index=int(row[1]),
+                                  alpha=float(row[2]), f_prime=float(row[3]),
+                                  residual=float(row[4])))
+    for a, b in zip(records, records[1:]):
+        if b.index != a.index + 1:
+            raise ValueError("zero cache indices must be ascending without gaps")
+    return records
+
+
 @dataclass(frozen=True)
 class SimplicityReport:
     zero: ZeroRecord
@@ -80,7 +113,7 @@ def _scan_grid(n: int, w_max: float) -> np.ndarray:
 
 
 def _axis_values(n: int, ws: np.ndarray, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    re, _, err = _point_moments(n, np.zeros(ws.size), ws, q.tol, q, (0,))
+    re, _, err = _point_moments(n, np.zeros(ws.size), ws, q.tol, (0,))
     return re[0], err[0]
 
 
@@ -253,15 +286,8 @@ def extended_zero_pool(n: int, count: int) -> list[ZeroRecord]:
     n = check_kernel_index(n)
     if n != 2:
         raise ValueError(f"packaged zero pool only covers n=2, got n={n}")
-    records = []
     text = resources.files("supergauss").joinpath("data/f4_zeros_oracle.csv").read_text()
-    for row in csv.DictReader(text.splitlines()):
-        records.append(ZeroRecord(n=int(row["n"]), index=int(row["index"]),
-                                  alpha=float(row["alpha"]),
-                                  f_prime=float(row["f_prime"]),
-                                  residual=float(row["residual"])))
-        if len(records) == count:
-            return records
+    records = parse_zero_cache(text)
     if len(records) < count:
         raise ValueError(f"pool holds {len(records)} zeros, {count} requested")
-    return records
+    return records[:count]

@@ -214,7 +214,6 @@ def test_emit_svg_empty_dataset():
 def test_emit_svg_deterministic():
     ds = Dataset(x_label="x", y_label="y", title="t")
     ds.add_polyline([(0, 0), (1, 2), (2, 1)], color="black")
-    ds.scatter.append((1.0, 1.0))
     assert emit_svg(ds) == emit_svg(ds)
 
 

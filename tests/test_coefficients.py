@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from supergauss import PlanePoint, QuadratureSpec, eval_transform
+from supergauss import PlanePoint, QuadratureSpec, eval_transform, transform
 from supergauss.errors import ToleranceNotMetError
 from supergauss.coefficients import (
     ACoeffSample,
@@ -43,7 +43,6 @@ def test_leibniz_against_gaussian_closed_form():
 def test_leibniz_cap():
     with pytest.raises(ValueError):
         a_coeff(2, [9], 0.0, Q)
-    a_coeff(2, [9], 0.0, Q, m_cap=9)  # explicit raise of the cap is allowed
 
 
 def test_sweep_matches_single_calls():
@@ -63,20 +62,20 @@ def test_nonnegativity_quartic():
 
 
 def test_direct_matches_jacobian_at_origin():
-    d = a_coeff_direct(2, 0, 0.0, QuadratureSpec(tol=1e-10, panel_order=12))
+    d = a_coeff_direct(2, 0, 0.0, QuadratureSpec(tol=1e-10))
     f = eval_transform(2, PlanePoint(0.0, 0.0), Q)
     assert d.value == pytest.approx(2 * f.re * f.re, abs=d.err_estimate + 1e-12)
 
 
 def test_direct_even_in_w():
-    qd = QuadratureSpec(tol=1e-9, panel_order=12)
+    qd = QuadratureSpec(tol=1e-9)
     a = a_coeff_direct(2, 1, 1.5, qd)
     b = a_coeff_direct(2, 1, -1.5, qd)
     assert a.value == pytest.approx(b.value, abs=a.err_estimate + b.err_estimate)
 
 
 def test_cross_method_agreement():
-    qd = QuadratureSpec(tol=1e-10, panel_order=12)
+    qd = QuadratureSpec(tol=1e-10)
     for m in range(4):
         for w in (0.0, 1.0, 2.0):
             a, = a_coeff(2, [m], w, Q)
@@ -100,7 +99,7 @@ def test_l2_series_sigma_zero_reduces_to_f_squared():
 
 
 def test_l2_series_matches_gaussian():
-    # the early-stop rule bounds the dropped tail near rel_stop * sum; at
+    # the early-stop rule bounds the dropped tail near SERIES_REL_STOP * sum; at
     # sigma = 1.5 the series runs past m = 8 into the tightened orders
     for sigma in (0.3, 1.0, 1.5):
         for w in (0.0, 1.0, 2.5):
@@ -108,6 +107,18 @@ def test_l2_series_matches_gaussian():
             want = math.pi * math.exp((sigma * sigma - w * w) / 2)
             assert r.value == pytest.approx(want, rel=1e-7)
             assert not r.truncation_flag
+
+
+def test_l2_series_estimate_covers_the_dropped_tail():
+    # the early stop drops a tail near SERIES_REL_STOP of the sum; the
+    # estimate bounds it by the geometric series in the last term ratio,
+    # which is rigorous at n = 1, where the ratios (sigma^2/2)/m decrease
+    for w in (0.0, 0.5, 2.0):
+        for sigma in (0.5, 1.5):
+            r = l2_series(1, PlanePoint(w, sigma), 12, Q)
+            want = math.pi * math.exp((sigma * sigma - w * w) / 2)
+            assert not r.truncation_flag
+            assert abs(r.value - want) <= r.err_estimate
 
 
 def test_l2_series_n1_stops_at_the_rounding_floor():
@@ -125,11 +136,12 @@ def test_l2_series_n1_stops_at_the_rounding_floor():
         derivative_profile(1, 0.5, 24, Q)
 
 
-def test_l2_series_requires_only_the_orders_it_reads():
+def test_l2_series_requires_only_the_orders_it_reads(monkeypatch):
     # at T = 2.3 the n = 2 tail bound meets the tolerance of orders <= 2 but
     # not of the higher ones: a series that stops at m = 1 must still return,
     # and one that reads the higher orders must raise
-    q = QuadratureSpec(tol=1e-12, truncation_radius_override=2.3)
+    monkeypatch.setattr(transform, "truncation_radius", lambda *a: 2.3)
+    q = QuadratureSpec(tol=1e-12)
     with pytest.raises(ToleranceNotMetError):
         derivative_profile(2, 1.2, 16, q)
     r = l2_series(2, PlanePoint(1.2, 0.0), 12, q)

@@ -172,11 +172,13 @@ def test_newton_stall_surfaces_loudly(monkeypatch):
         refine_field_line(2, line, Q)
 
 
-def test_refinement_raises_when_tolerance_not_met():
+def test_refinement_raises_when_tolerance_not_met(monkeypatch):
     # a truncation radius short of the integrand peak leaves an infinite tail bound
+    from supergauss import transform
     from supergauss.errors import ToleranceNotMetError
 
-    q = QuadratureSpec(tol=1e-9, truncation_radius_override=0.5)
+    monkeypatch.setattr(transform, "truncation_radius", lambda *a: 0.5)
+    q = QuadratureSpec(tol=1e-9)
     line = FieldLine(which=R_LINE,
                      points=(PlanePoint(3.0, 1.0), PlanePoint(3.1, 1.1)))
     with pytest.raises(ToleranceNotMetError):

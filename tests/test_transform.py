@@ -15,6 +15,7 @@ from supergauss import (
     magnitude_scale,
     moment_scale,
     peak_exponent,
+    transform,
     truncation_radius,
 )
 from supergauss.errors import OverflowGuardError, ToleranceNotMetError
@@ -92,7 +93,7 @@ def test_derivative_real_on_axis():
 def test_derivative_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
         eval_derivative(2, 17, PlanePoint(0, 0), Q)
-    eval_derivative(2, 17, PlanePoint(0, 0), Q, k_cap=18)
+    eval_derivatives(2, (17,), 0.0, 0.0, Q, k_cap=18)
 
 
 def test_truncation_radius_monotone_in_tol():
@@ -175,9 +176,10 @@ def test_multi_order_meets_each_order_tolerance():
         assert (np.hypot(re - half[0], im - half[1]) <= err + half[2]).all()
 
 
-def test_multi_order_raises_when_one_order_misses():
+def test_multi_order_raises_when_one_order_misses(monkeypatch):
     # at T = 2.3 the n = 2 tail bound is ~1e-14 for F but ~6e-11 for the t^8 moment
-    q = QuadratureSpec(tol=1e-12, truncation_radius_override=2.3)
+    monkeypatch.setattr(transform, "truncation_radius", lambda *a: 2.3)
+    q = QuadratureSpec(tol=1e-12)
     eval_derivatives(2, (0,), 0.4, 1.0, q)
     with pytest.raises(ToleranceNotMetError, match="k=8") as exc:
         eval_derivatives(2, (0, 8), 0.4, 1.0, q)
@@ -199,9 +201,10 @@ def test_overflow_guard():
     assert peak_exponent(1, 60.0) == pytest.approx(900.0)
 
 
-def test_tolerance_not_met_with_tiny_override():
+def test_tolerance_not_met_with_tiny_override(monkeypatch):
     # a truncation radius short of the peak makes the tail bound blow up
-    q = QuadratureSpec(tol=1e-10, truncation_radius_override=0.5)
+    monkeypatch.setattr(transform, "truncation_radius", lambda *a: 0.5)
+    q = QuadratureSpec(tol=1e-10)
     with pytest.raises(ToleranceNotMetError):
         eval_transform(2, PlanePoint(0.0, 6.0), q)
 

@@ -1,3 +1,6 @@
+import math
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from supergauss.errors import NotAZeroError, SimplicityIndeterminateError
 from supergauss.zeros import (
     ZeroRecord,
     extended_zero_pool,
+    format_zero_cache,
     log_derivative_lhs,
     ode_residual,
     ode_residuals,
@@ -89,6 +93,25 @@ def test_extended_pool_agrees_with_scan(scanned_zeros_n2, zero_pool_40):
         assert rec.alpha == pytest.approx(pooled.alpha, abs=1e-8)
     alphas = [r.alpha for r in zero_pool_40]
     assert all(b > a for a, b in zip(alphas, alphas[1:]))
+
+
+def test_pooled_zeros_round_the_oracle_zeros(golden_zeros):
+    # each pooled alpha is the oracle zero rounded to float64: its distance
+    # to the zero, |F(alpha)| / |F'(alpha)|, is within one ulp, and the
+    # 25-digit golden rounds to the same double
+    pool = extended_zero_pool(2, 44)
+    assert len(golden_zeros) == len(pool) == 44
+    for rec, (idx, alpha, _) in zip(pool, golden_zeros):
+        assert rec.index == idx
+        assert rec.residual / abs(rec.f_prime) <= math.ulp(rec.alpha)
+        assert alpha == rec.alpha
+
+
+def test_packaged_pool_is_in_zero_table_format():
+    text = resources.files("supergauss").joinpath("data/f4_zeros_oracle.csv").read_text()
+    assert format_zero_cache(extended_zero_pool(2, 44)) == text
+    with pytest.raises(ValueError, match="44 zeros, 45 requested"):
+        extended_zero_pool(2, 45)
 
 
 def test_extended_pool_only_quartic():
