@@ -24,6 +24,7 @@ from .errors import NewtonStallError, NotAZeroError, ToleranceNotMetError
 from .transform import (
     PlanePoint,
     QuadratureSpec,
+    _factored_panel_moments,
     _point_moments,
     _rotate,
     check_kernel_index,
@@ -285,10 +286,12 @@ def refine_field_line(n: int, line: FieldLine, q: QuadratureSpec,
     """Newton-polish every vertex along the local field gradient.
 
     All vertices step together: each pass evaluates F and F' (the t^1 moment
-    on the same nodes) at the vertices still moving, and drops those that
-    converged.  Convergence target is |field| <= q.tol * magnitude_scale(n,
-    sigma); the reported max_residual is the worst |field| / scale over the
-    vertices.  An estimate above that tolerance raises ToleranceNotMetError.
+    on the same nodes, summed by :func:`transform._factored_panel_moments`)
+    at the vertices still moving, and drops those that converged.
+    Convergence target is |field| <= q.tol * magnitude_scale(n, sigma); the
+    reported max_residual is the worst |field| / scale over the returned
+    vertices, so the last of the ``max_steps`` passes only measures.  An
+    estimate above that tolerance raises ToleranceNotMetError.
     A vanishing gradient off the axis is impossible for these transforms (the
     derivative would need an off-axis zero), so it raises NewtonStallError.
     """
@@ -297,13 +300,13 @@ def refine_field_line(n: int, line: FieldLine, q: QuadratureSpec,
     sigma, w = pts[:, 0].copy(), pts[:, 1].copy()
     resid = np.full(sigma.size, math.inf)
     active = np.arange(sigma.size)
-    for _ in range(max_steps):
+    for step in range(max_steps):
         if active.size == 0:
             break
         s, ws = sigma[active], w[active]
         scale = magnitude_scale(n, s)
         tol = q.tol * scale
-        re, im, err = _point_moments(n, s, ws, tol, (0, 1))
+        re, im, err = _point_moments(n, s, ws, tol, (0, 1), _factored_panel_moments)
         g = re[0] if line.which == R_LINE else im[0]
         resid[active] = np.abs(g) / scale
         moving = np.abs(g) > tol
@@ -314,6 +317,8 @@ def refine_field_line(n: int, line: FieldLine, q: QuadratureSpec,
                 f"shared-node error estimates {err[0, i]:.3e} (F), {err[1, i]:.3e} (F') "
                 f"above tol {tol[i]:.3e} (n={n}, sigma={s[i]}, w={ws[i]})",
                 re=float(re[0, i]), im=float(im[0, i]), err_estimate=float(err[0, i]))
+        if step == max_steps - 1:
+            break
         gs, gw = _gradient_from_derivative(line.which, *_rotate(1, re[1], im[1]))
         norm2 = gs * gs + gw * gw
         stalled = moving & (np.sqrt(norm2) <= np.maximum(10 * err[1], 1e-13 * scale))

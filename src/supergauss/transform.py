@@ -31,8 +31,18 @@ double eps) * sum |a|(|cos| + |sin|), therefore barely grows with the
 node count where long double is wider than float64, and is still a valid
 bound where it is not.  Grids
 (:func:`eval_transform_grid`) are one batched matrix product whose sums run
-in BLAS order, with a floor that bounds that summation.  Both paths are
-deterministic for a given input.
+in BLAS order, with a floor that bounds that summation.
+
+Newton refinement sums its panels with :func:`_factored_panel_moments`
+instead: on the same rule and refinement loop, each panel's phase
+e^{iz c_p} is factored out of its nodes, so a point takes P complex
+exponentials plus 48 per panel width instead of 48 P (P panels of 16 + 32
+nodes), and the panel sums are matrix products with a point-independent
+node matrix.  Its floor, derived in its docstring, is wider, (2p + P + 16
++ 3(|sigma| + |w|) T + 2 T^(2n)) eps of sum |a t^k| plus the node mismatch
+it measures, about three orders below Newton's tolerance at C9; the axis
+scans keep the exact kernel, where a wider floor or moved rounding noise
+would shift the deep zeros.  All paths are deterministic for a given input.
 
 For n = 1 the closed form sqrt(pi) * exp(-z^2/4) is provided as an oracle.
 """
@@ -208,8 +218,8 @@ def truncation_radius(n: int, sigma: float, k: int, tol: float) -> float:
     holds for every t >= T and the tail is dominated by exp(-t^(2n)/2).
     """
     n = check_kernel_index(n)
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if k < 0:
         raise ValueError(f"moment order k must be >= 0, got {k}")
     s = abs(float(sigma))
@@ -432,8 +442,89 @@ def _panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules, orders: tupl
     return value, perr, floor
 
 
+def _factored_panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules,
+                            orders: tuple[int, ...]):
+    """:func:`_panel_moments` with each panel's phase factored out.
+
+    The rule's panels have equal widths, and splitting only halves them, so
+    every half-width is h_d = h_0 2^-d, h_0 the widest.  With iz = sigma +
+    iw, the term of node t = c_p + h_d x_j of panel p factors as
+
+        h_d g_j t^k exp(izt - t^(2n)) = E_p V_j B_pjk,
+        E_p = exp(iz c_p - c_p^(2n)),   V_j = exp(iz h_d x_j),
+        B_pjk = h_d g_j exp(c_p^(2n) - t^(2n)) t^k,
+
+    and B does not depend on the point.  A point therefore costs P complex
+    exponentials E_p plus one V per width class and order (16 + 32 nodes),
+    instead of exp, cos and sin at all P (16 + 32) nodes; the panel sums
+    S_pk = sum_j V_j B_pjk are one real matrix product per class and order,
+    and M_k = sum_p E_p S_pk.  Moving c_p^(2n) from E into B keeps both in
+    float64 range wherever the integrand is, and the panel width caps of
+    :func:`_panel_edges` give |V| <= e^(|sigma| h) <= e^4.  B holds the
+    rule's own nodes t and weights h g_j; c_p and h are read off each
+    panel's outermost order-2p node pair, and delta = max |c_p + fl(h_d x_j)
+    - t| is measured, so the factorisation is exact up to e^(iz delta).
+
+    The rounding floor, with u = eps/2, T = max |t| and first-order terms:
+    the arguments sigma c - c^(2n) and wc of E carry u(2|sigma| + |w|)T +
+    u T^(2n) (c^(2n) is one float shared by E and B, so its own rounding
+    cancels), sigma y and wy of V, y = fl(h x), carry 2u(|sigma| + |w|)T,
+    and c^(2n) - t^(2n) of B carries 3u T^(2n); the mismatch c + y - t
+    carries |iz|(delta + 2uT); exp, cos, sin, t^k and the products forming
+    E, V, B and E S carry under 16u; the m-term inner sums of the real and
+    imaginary parts carry sqrt(2) m u and the float64 sum over P panels
+    sqrt(2) P u, each of the absolute sum.  So every (order, point) is
+    within
+
+        ((2p + P + 16 + 3(|sigma| + |w|) T + 2 T^(2n)) eps
+         + (|sigma| + |w|) delta) * sum_p |E_p| sum_j |V_j| |B_pjk|
+
+    of its exact sum on the rule, which bounds each term's modulus
+    sum |a t^k|.  Returns what :func:`_panel_moments` returns.
+    """
+    t2 = rules[1][0]
+    x_out = _gl_rule(2 * _ORDER)[0][-1]
+    centers = 0.5 * (t2[:, 0] + t2[:, -1])
+    halves = (t2[:, -1] - t2[:, 0]) / (2.0 * x_out)
+    h0 = float(halves.max())
+    depth = np.rint(np.log2(h0 / halves)).astype(np.int64)
+    c2n = centers ** (2 * n)
+    s, ws = sigma[:, None], w[:, None]
+    e = np.exp(s * centers - c2n + 1j * (ws * centers))          # (points, P)
+    powers = np.array(orders)
+    sums = [np.empty((sigma.size, centers.size, len(orders)), dtype=complex) for _ in rules]
+    abs_sum = np.empty((sigma.size, centers.size, len(orders)))
+    delta = 0.0
+    for d in sorted(set(depth.tolist())):
+        sel = np.flatnonzero(depth == d)
+        h = math.ldexp(h0, -d)
+        for (t, g), out in zip(rules, sums):
+            t, m = t[sel], t.shape[1]
+            y = h * _gl_rule(m)[0]
+            delta = max(delta, float(np.abs(centers[sel, None] + y - t).max()))
+            b = ((g[sel] * np.exp(c2n[sel, None] - t ** (2 * n)))[..., None]
+                 * t[..., None] ** powers).transpose(1, 0, 2).reshape(m, -1)
+            v = np.exp(s * y + 1j * (ws * y))                          # (points, m)
+            prod = np.concatenate([v.real, v.imag]) @ b
+            out[:, sel] = (prod[:sigma.size] + 1j * prod[sigma.size:]).reshape(
+                sigma.size, sel.size, -1)
+            if m == 2 * _ORDER:
+                abs_sum[:, sel] = (np.abs(v) @ np.abs(b)).reshape(sigma.size, sel.size, -1)
+    s1, s2 = sums
+    e_abs = np.abs(e)
+    moments = (e[:, None, :] @ s2)[:, 0, :].T                          # (orders, points)
+    value = np.stack([moments.real, moments.imag])
+    perr = (e_abs[:, :, None] * np.abs(s1 - s2)).transpose(2, 0, 1)
+    T = float(np.abs(t2).max())
+    zabs = np.abs(sigma) + np.abs(w)
+    relative = ((2 * _ORDER + centers.size + 16 + 3.0 * zabs * T + 2.0 * T ** (2 * n)) * _EPS
+                + zabs * delta)
+    floor = relative * (e_abs[:, None, :] @ abs_sum)[:, 0, :].T
+    return value, perr, floor
+
+
 def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
-                   orders: tuple[int, ...]):
+                   orders: tuple[int, ...], panel_sums=_panel_moments):
     """Moments M_k(w_i - i sigma_i), k in ``orders``, at scattered points.
 
     ``tol`` broadcasts to (len(orders), len(sigma)).  Points go in chunks of
@@ -444,8 +535,9 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
     least its share of such a sum is split in two.  The
     error estimate of each point is the sum over panels of |order p - order
     2p|, plus the tail bound at the shared radius, plus the rounding floor
-    of :func:`_panel_moments`.  Returns re, im and err, each of shape
-    (len(orders), len(sigma)).
+    of ``panel_sums``: the exact :func:`_panel_moments`, or
+    :func:`_factored_panel_moments` for Newton refinement.  Returns re, im
+    and err, each of shape (len(orders), len(sigma)).
     """
     out = np.empty((3, len(orders), sigma.size))
     if sigma.size == 0:
@@ -462,7 +554,7 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
             rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()))
         while True:
             edges, tails, rules = rule
-            value, perr, floor = _panel_moments(n, s, ws, rules, orders)
+            value, perr, floor = panel_sums(n, s, ws, rules, orders)
             total = perr.sum(axis=2)
             short = total > 0.5 * ts
             panels = edges.size - 1

@@ -185,6 +185,22 @@ def test_refinement_raises_when_tolerance_not_met(monkeypatch):
         refine_field_line(2, line, q)
 
 
+@pytest.mark.parametrize("max_steps", [1, 2, 12])
+def test_max_residual_describes_returned_vertices(max_steps):
+    # when the passes run out, the last one measures and does not step
+    from supergauss import eval_derivatives, magnitude_scale
+    grid = sample_field_grid(2, (0.5, 3.0), (0.0, 8.0), (12, 30), Q)
+    line = extract_field_lines(grid, R_LINE)[0]
+    refined = refine_field_line(2, line, Q, max_steps=max_steps)
+    pts = refined.as_array()
+    if max_steps == 1:
+        assert (pts == line.as_array()).all()
+    scale = magnitude_scale(2, pts[:, 0])
+    re, _, err = eval_derivatives(2, (0,), pts[:, 0], pts[:, 1], Q, Q.tol * scale)
+    resid = np.abs(re[0]) / scale
+    assert abs(resid.max() - refined.max_residual) <= (err[0] / scale).max()
+
+
 def test_saddle_cells_disambiguated_by_center_sign(monkeypatch):
     # force a diagonal sign pattern in one cell and steer the center sample:
     # the chosen segment pairing must separate the corners the center joins

@@ -271,3 +271,119 @@ def test_eval_result_invariants():
         EvalResult(0.0, 0.0, -1.0)
     with pytest.raises(ValueError):
         PlanePoint(math.nan, 0.0)
+
+
+def test_truncation_radius_rejects_non_finite_tol():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            truncation_radius(2, 1.0, 0, bad)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        eval_derivatives(2, (0,), 1.0, 2.0, Q, tol=math.inf)
+    # a batch mixing finite and infinite tolerances sizes its rule on the finite ones
+    re, im, err = eval_derivatives(2, (0, 1), [0.5, 1.0], [2.0, 3.0], Q,
+                                   np.array([[1e-10, 1e-10], [math.inf, 1e-10]]))
+    assert err[0].max() <= 1e-10 and err[1, 1] <= 1e-10
+
+
+# ------------------------------------------------ factored (Newton) kernel
+
+
+def _both_kernels(n, sigma, w, orders=(0, 1)):
+    """(exact, factored) moments at moment-scaled tolerance 1e-10."""
+    sigma, w = np.asarray(sigma, dtype=float), np.asarray(w, dtype=float)
+    tol = np.array([[1e-10 * moment_scale(n, s, k) for s in sigma] for k in orders])
+    return tol, [transform._point_moments(n, sigma, w, tol, orders, kernel)
+                 for kernel in (transform._panel_moments, transform._factored_panel_moments)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_factored_kernel_agrees_with_exact_kernel(n):
+    rng = np.random.default_rng(900 + n)
+    sigma = rng.uniform(-20, 20, 12) if n <= 3 else rng.uniform(-6, 6, 12)
+    w = rng.uniform(-15, 15, 12)
+    for s, x in zip(sigma, w):
+        tol, (a, b) = _both_kernels(n, [s], [x])
+        assert (a[2] <= tol).all() and (b[2] <= tol).all()
+        assert (np.hypot(a[0] - b[0], a[1] - b[1]) <= a[2] + b[2]).all()
+
+
+@pytest.mark.parametrize("n, w, sigma", [(6, -6.4, 5.9), (5, 3.0, 6.0)])
+def test_factored_kernel_on_split_panels(monkeypatch, n, w, sigma):
+    # the default panels are too coarse here: the refinement splits some of
+    # them, so the kernel sees two width classes
+    classes = []
+    kernel = transform._factored_panel_moments
+
+    def spy(n, s, ws, rules, orders):
+        t = rules[1][0]
+        halves = t[:, -1] - t[:, 0]
+        classes.append(len(set(np.rint(np.log2(halves.max() / halves)).tolist())))
+        return kernel(n, s, ws, rules, orders)
+    monkeypatch.setattr(transform, "_factored_panel_moments", spy)
+    tol, (a, b) = _both_kernels(n, [sigma], [w])
+    assert classes[0] == 1 and max(classes) == 2
+    assert (b[2] <= tol).all()
+    assert (np.hypot(a[0] - b[0], a[1] - b[1]) <= a[2] + b[2]).all()
+
+
+def test_factored_kernel_matches_gaussian_closed_form():
+    # n = 1: M_0 = F = sqrt(pi) exp(-z^2/4) and M_1 = -i F' = i (z/2) F
+    w, sigma = (a.ravel() for a in np.meshgrid(np.linspace(-60, 60, 41), np.linspace(-3, 3, 7)))
+    tol = 1e-10 * magnitude_scale(1, sigma)
+    re, im, err = transform._point_moments(1, sigma, w, tol, (0, 1),
+                                           transform._factored_panel_moments)
+    z = w - 1j * sigma
+    f = math.sqrt(math.pi) * np.exp(-z * z / 4)
+    assert (err <= tol).all()
+    assert (np.abs(re[0] + 1j * im[0] - f) <= err[0]).all()
+    assert (np.abs(re[1] + 1j * im[1] - 0.5j * z * f) <= err[1]).all()
+
+
+def _mp_gaussian_derivative(mpmath, k, w, sigma):
+    """F^(k) for n = 1 from d^k/dz^k sqrt(pi) exp(-z^2/4) = (-1/2)^k H_k(z/2) F(z)."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(w, -sigma)
+        v = (mpmath.sqrt(mpmath.pi) * mpmath.exp(-z * z / 4)
+             * (-0.5) ** k * mpmath.hermite(k, z / 2))
+        return complex(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=st.floats(-20, 20), sigma=st.floats(-6, 6), k=st.integers(0, 8))
+def test_error_estimate_bounds_gaussian_error(w, sigma, k):
+    mpmath = pytest.importorskip("mpmath")
+    r = eval_derivative(1, k, PlanePoint(w, sigma),
+                        QuadratureSpec(1e-10 * moment_scale(1, sigma, k)))
+    assert abs(r.value - _mp_gaussian_derivative(mpmath, k, w, sigma)) <= r.err_estimate
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.floats(-20, 20), sigma=st.floats(-6, 6))
+def test_newton_kernel_error_estimate_bounds_gaussian_error(w, sigma):
+    # M_k is the t^k moment: F^(k) = i^k M_k
+    mpmath = pytest.importorskip("mpmath")
+    tol = np.array([[1e-10 * moment_scale(1, sigma, k)] for k in (0, 1)])
+    re, im, err = transform._point_moments(1, np.array([sigma]), np.array([w]), tol, (0, 1),
+                                           transform._factored_panel_moments)
+    for k in (0, 1):
+        want = _mp_gaussian_derivative(mpmath, k, w, sigma) / 1j ** k
+        assert abs(complex(re[k, 0], im[k, 0]) - want) <= err[k, 0]
+
+
+@pytest.mark.parametrize("n, w, sigma", [(2, 10.0, 20.0), (6, -6.4, 5.9), (1, 12.0, 3.0)])
+def test_factored_kernel_floor_bounds_its_rounding(n, w, sigma):
+    # against the same rule summed in 30-digit arithmetic, the factored sums
+    # stay within the rounding floor they report
+    mpmath = pytest.importorskip("mpmath")
+    _, _, rules = transform._shared_rule(n, abs(sigma), abs(w), (0, 1),
+                                         1e-10 * magnitude_scale(n, sigma))
+    value, _, floor = transform._factored_panel_moments(n, np.array([sigma]), np.array([w]),
+                                                        rules, (0, 1))
+    t, g = (a.ravel().tolist() for a in rules[1])
+    with mpmath.workdps(30):
+        z = mpmath.mpc(sigma, w)
+        terms = [mpmath.mpf(gj) * mpmath.exp(z * tj - mpmath.mpf(tj) ** (2 * n))
+                 for tj, gj in zip(t, g)]
+        for k in (0, 1):
+            exact = complex(mpmath.fsum(a * mpmath.mpf(tj) ** k for a, tj in zip(terms, t)))
+            assert abs(complex(value[0, k, 0], value[1, k, 0]) - exact) <= floor[k, 0]
