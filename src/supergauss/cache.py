@@ -1,10 +1,12 @@
 """Zero-table persistence: cache files and atomic writes.
 
-The cache holds one CSV per (n, tol) key in the zero-table format of
+The cache holds one CSV per (n, w_max, tol) key in the zero-table format of
 :mod:`supergauss.zeros` (``HEADER``, :func:`format_zero_cache`,
-:func:`parse_zero_cache`, re-exported here).  The cache directory defaults
-to ~/.cache/supergauss and is overridden by the POLYA_CACHE_DIR environment
-variable.  All writes go through a temp file and an atomic rename.
+:func:`parse_zero_cache`, re-exported here).  A file holds exactly the scan
+its key names, so a cached table is the table a fresh scan would return.
+The cache directory defaults to ~/.cache/supergauss and is overridden by the
+POLYA_CACHE_DIR environment variable.  All writes go through a temp file and
+an atomic rename.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "supergauss"
 
 
-def zero_cache_path(n: int, tol: float) -> Path:
-    return cache_dir() / f"zeros_n{n}_tol{tol!r}.csv"
+def zero_cache_path(n: int, w_max: float, tol: float) -> Path:
+    return cache_dir() / f"zeros_n{n}_wmax{float(w_max)!r}_tol{float(tol)!r}.csv"
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -52,20 +54,11 @@ def read_zero_cache(path: Path) -> list[ZeroRecord]:
 
 
 def cached_zeros(n: int, w_max: float, q: QuadratureSpec) -> list[ZeroRecord]:
-    """Zeros up to w_max, reusing the per-(n, tol) cache when it covers them.
-
-    A cached table is reused when its coverage (last zero plus twice the
-    local spacing) reaches w_max; otherwise the range is rescanned and the
-    cache rewritten.  Stale tolerances land in a different file entirely.
-    """
-    path = zero_cache_path(n, q.tol)
+    """:func:`scan_real_zeros` (n, w_max, q), read from its cache file when
+    one exists, otherwise scanned and written there."""
+    path = zero_cache_path(n, w_max, q.tol)
     if path.exists():
-        records = read_zero_cache(path)
-        if records:
-            alphas = [r.alpha for r in records]
-            spacing = (alphas[-1] - alphas[-2]) if len(alphas) > 1 else alphas[-1]
-            if alphas[-1] + 2 * spacing >= w_max:
-                return [r for r in records if r.alpha <= w_max]
+        return read_zero_cache(path)
     records = scan_real_zeros(n, w_max, q)
     write_zero_cache(path, records)
     return records

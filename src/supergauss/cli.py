@@ -35,8 +35,7 @@ from .fieldlines import (
 from .orbits import orbit_trace
 from .svgplot import Dataset, emit_svg
 from .transform import PlanePoint, QuadratureSpec, eval_transform
-from .verify import run_suite
-from .zeros import scan_real_zeros
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -139,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wmax", type=float, required=True)
     p.add_argument("--count", type=int, default=None, help="keep only the first K zeros")
     p.add_argument("--out", default=None)
-    p.add_argument("--no-cache", action="store_true",
-                   help="scan fresh without touching the zero cache")
 
     p = sub.add_parser("acoeff", help="series coefficients on a w grid")
     add_common(p)
@@ -180,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every criterion pins its own tolerance, so verify takes no --tol
     p = sub.add_parser("verify", help="run the acceptance and invariant checks")
     add_config(p)
-    p.add_argument("--suite", default="all",
-                   choices=["all", "quadrature", "zeros", "lemma1", "lemma2", "fields", "orbit"])
+    p.add_argument("--suite", default="all", choices=["all", *SUITES])
     return parser
 
 
@@ -199,11 +195,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    q = QuadratureSpec(tol=args.tol)
-    if args.no_cache:
-        records = scan_real_zeros(args.n, args.wmax, q)
-    else:
-        records = cached_zeros(args.n, args.wmax, q)
+    if args.count is not None and args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
+    records = cached_zeros(args.n, args.wmax, QuadratureSpec(tol=args.tol))
     if args.count is not None:
         records = records[: args.count]
     _write_out(args.out, format_zero_cache(records))
@@ -221,7 +215,7 @@ def _cmd_acoeff(args) -> int:
     return EXIT_OK
 
 
-def _fieldline_rows(lines, start_id=0):
+def _fieldline_rows(lines, start_id):
     rows = []
     for k, line in enumerate(lines, start_id):
         for p in line.points:

@@ -15,6 +15,7 @@ from .errors import EmitError
 _WIDTH = 640
 _HEIGHT = 480
 _MARGIN = 54
+_TICKS = 6
 
 
 @dataclass
@@ -24,23 +25,22 @@ class Dataset:
     x_label: str
     y_label: str
     title: str = ""
-    polylines: list[tuple[list[tuple[float, float]], str, float]] = field(default_factory=list)
-    dashed: list[tuple[list[tuple[float, float]], str, float]] = field(default_factory=list)
+    polylines: list[tuple[list[tuple[float, float]], str]] = field(default_factory=list)
+    dashed: list[list[tuple[float, float]]] = field(default_factory=list)
 
-    def add_polyline(self, points, color="black", width=1.2):
-        self.polylines.append((list(points), color, width))
+    def add_polyline(self, points, color):
+        self.polylines.append((list(points), color))
 
-    def add_dashed(self, points, color="gray", width=1.0):
-        self.dashed.append((list(points), color, width))
+    def add_dashed(self, points):
+        self.dashed.append(list(points))
 
     def is_empty(self) -> bool:
-        return not (any(p for p, _, _ in self.polylines)
-                    or any(p for p, _, _ in self.dashed))
+        return not (any(p for p, _ in self.polylines) or any(self.dashed))
 
 
 def _bounds(ds: Dataset):
     xs, ys = [], []
-    for pts, _, _ in ds.polylines + ds.dashed:
+    for pts in [p for p, _ in ds.polylines] + ds.dashed:
         xs.extend(p[0] for p in pts)
         ys.extend(p[1] for p in pts)
     x0, x1 = min(xs), max(xs)
@@ -52,9 +52,9 @@ def _bounds(ds: Dataset):
     return x0, x1, y0, y1
 
 
-def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    raw = span / max(count - 1, 1)
+    raw = span / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -113,17 +113,17 @@ def emit_svg(dataset: Dataset) -> str:
     parts.append(f'<text x="14" y="{(py0 + py1) // 2}" text-anchor="middle" font-size="12" '
                  f'transform="rotate(-90 14 {(py0 + py1) // 2})">{dataset.y_label}</text>')
 
-    for pts, color, width in dataset.dashed:
+    for pts in dataset.dashed:
+        if not pts:
+            continue
+        coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="gray" '
+                     'stroke-width="1.0" stroke-dasharray="6,4"/>')
+    for pts, color in dataset.polylines:
         if not pts:
             continue
         coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                     f'stroke-width="{width}" stroke-dasharray="6,4"/>')
-    for pts, color, width in dataset.polylines:
-        if not pts:
-            continue
-        coords = " ".join(f"{_fmt(tx(x))},{_fmt(ty(y))}" for x, y in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                     f'stroke-width="{width}"/>')
+                     'stroke-width="1.2"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -174,6 +174,28 @@ def magnitude_scale(n: int, sigma):
     return float(scale) if scale.ndim == 0 else scale
 
 
+def _boundary(pred, lo: float, hi: float) -> tuple[float, float]:
+    """Bracket (lo, hi) of the point where pred turns from false to true.
+
+    pred must be false at lo, unless lo == hi and it holds there.  hi
+    doubles until pred holds at it, then the bracket is bisected until its
+    midpoint rounds to one of its ends: pred is false at lo and true at hi,
+    so no further pass could move either end.
+    """
+    while not pred(hi):
+        hi *= 2.0
+        if hi > 1e12:  # t^(2n) dominates: only a |sigma| near 1e12 or above gets here
+            raise ArithmeticError("boundary search diverged")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo, hi
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def moment_scale(n: int, sigma: float, k: int) -> float:
     """exp(max(0, peak of k ln t - t^(2n) + |sigma| t)): scale of the k-th moment.
 
@@ -185,15 +207,7 @@ def moment_scale(n: int, sigma: float, k: int) -> float:
         return magnitude_scale(n, sigma)
     s = abs(float(sigma))
     # g'(t) = k/t - 2n t^(2n-1) + s is strictly decreasing: bisect its root
-    lo, hi = 1e-9, 1.0
-    while k / hi - 2 * n * hi ** (2 * n - 1) + s > 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if k / mid - 2 * n * mid ** (2 * n - 1) + s > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _boundary(lambda t: not (k / t - 2 * n * t ** (2 * n - 1) + s > 0), 1e-9, 1.0)
     t = 0.5 * (lo + hi)
     peak = k * math.log(t) - t ** (2 * n) + s * t
     return math.exp(max(0.0, min(peak, OVERFLOW_EXPONENT)))
@@ -231,22 +245,8 @@ def truncation_radius(n: int, sigma: float, k: int, tol: float) -> float:
     def slack_prime(t: float) -> float:
         return n * t ** (2 * n - 1) - s - k / t
 
-    lo = 1.5
-    hi = lo
-    while slack(hi) < 0.0 or slack_prime(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:  # unreachable: t^(2n) dominates every other term
-            raise ArithmeticError("truncation radius search diverged")
-    if hi == lo:
-        return lo
-    # bisect down to the smallest admissible radius
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if slack(mid) >= 0.0 and slack_prime(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # the smallest admissible radius; 1.5 itself when it is admissible
+    return _boundary(lambda t: not (slack(t) < 0.0 or slack_prime(t) < 0.0), 1.5, 1.5)[1]
 
 
 def _tail_bound(n: int, sigma: float, k: int, T: float) -> float:

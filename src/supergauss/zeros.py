@@ -161,10 +161,13 @@ def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec) -> list[ZeroRecord]
     resolve the sign of the transform.  Each refined zero is re-checked by a
     local rescan at a 20x finer step; a bracket that splits in two raises
     :class:`SuspiciousBracketError` after the finer rescan disagrees too.
+    The last bracket may straddle w_max; a zero refined past it is
+    dropped, so the result is exactly the certified zeros in (0, w_max].  A
+    w_max that is not positive and finite raises ValueError.
     """
     n = check_kernel_index(n)
-    if not w_max > 0:
-        raise ValueError(f"w_max must be positive, got {w_max}")
+    if not (w_max > 0 and math.isfinite(w_max)):
+        raise ValueError(f"w_max must be positive and finite, got {w_max}")
     ws = _scan_grid(n, w_max)
     re, err = _axis_values(n, ws, q)
 
@@ -178,6 +181,8 @@ def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec) -> list[ZeroRecord]
             continue
         alpha = _illinois(lambda x: eval_transform(n, PlanePoint(x, 0.0), q).re,
                           float(ws[a]), float(ws[b]), float(re[a]), float(re[b]))
+        if alpha > w_max:
+            break
         _confirm_single_crossing(n, float(ws[a]), float(ws[b]), q)
         f, _, e = eval_derivatives(n, (0, 1), 0.0, alpha, q)
         records.append(ZeroRecord(n=n, index=idx, alpha=alpha,

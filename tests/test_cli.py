@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from supergauss import QuadratureSpec, cache
 from supergauss.cache import (
     cache_dir,
+    cached_zeros,
     format_zero_cache,
     parse_zero_cache,
     read_zero_cache,
@@ -71,7 +73,41 @@ def test_zeros_cache_roundtrip(capsys, tmp_path, monkeypatch):
     # warm rerun hits the cache and is byte-identical
     code, _ = run_cli(capsys, "zeros", "--n", "2", "--wmax", "8", "--out", str(out_file))
     assert out_file.read_text() == text
-    assert zero_cache_path(2, 1e-10).exists()
+    assert zero_cache_path(2, 8.0, 1e-10).exists()
+
+
+def test_zeros_table_independent_of_earlier_narrower_scan(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("POLYA_CACHE_DIR", str(tmp_path / "fresh"))
+    _, fresh = run_cli(capsys, "zeros", "--n", "2", "--wmax", "12")
+    monkeypatch.setenv("POLYA_CACHE_DIR", str(tmp_path / "used"))
+    run_cli(capsys, "zeros", "--n", "2", "--wmax", "8")
+    code, out = run_cli(capsys, "zeros", "--n", "2", "--wmax", "12")
+    assert code == 0
+    assert len(parse_zero_cache(fresh)) == 3
+    assert out == fresh
+
+
+def test_zeros_cold_and_warm_agree_past_last_zero(capsys, tmp_path, monkeypatch):
+    # the scan grid's last bracket holds a zero just past w_max
+    monkeypatch.setenv("POLYA_CACHE_DIR", str(tmp_path))
+    argv = ("zeros", "--n", "2", "--wmax", "9.62585888628049")
+    _, cold = run_cli(capsys, *argv)
+    _, warm = run_cli(capsys, *argv)
+    assert warm == cold
+    assert len(parse_zero_cache(cold)) == 2
+
+
+def test_cached_empty_table_is_read_not_rescanned(tmp_path, monkeypatch):
+    monkeypatch.setenv("POLYA_CACHE_DIR", str(tmp_path))
+    q = QuadratureSpec(tol=1e-10)
+    assert cached_zeros(1, 20.0, q) == []
+
+    def no_rescan(*args):
+        raise AssertionError("warm call rescanned")
+
+    monkeypatch.setattr(cache, "scan_real_zeros", no_rescan)
+    assert cached_zeros(1, 20.0, q) == []
+    assert zero_cache_path(1, 20.0, 1e-10).exists()
 
 
 def test_zeros_count_flag(capsys, tmp_path, monkeypatch):
@@ -141,6 +177,8 @@ def test_config_file_inline_form(capsys, tmp_path):
     ["eval", "--n", "2", "--w", "nan", "--sigma", "0"],
     ["orbit", "--n", "2", "--sigma", "1", "--v", "0", "--tmax", "1", "--dt", "0.1"],
     ["verify", "--tol", "1e-6"],
+    ["zeros", "--n", "2", "--wmax", "inf"],
+    ["zeros", "--n", "2", "--wmax", "8", "--count", "-1"],
 ])
 def test_rejected_input_exit_code(capsys, argv):
     # a value the library rejects is an argument error: code 2, one line, no

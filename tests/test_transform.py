@@ -117,6 +117,58 @@ def test_truncation_radius_passes_integrand_peak():
     assert T > (10.0 / 4) ** (1 / 3)
 
 
+def _truncation_radius_fixed_passes(n, sigma, k, tol):
+    """The radius search as 80 fixed bisection passes (the reference)."""
+    s, lead = abs(sigma), math.log(2.0 / tol)
+
+    def admissible(t):
+        return (0.5 * t ** (2 * n) - s * t - k * math.log(t) - lead >= 0.0
+                and n * t ** (2 * n - 1) - s - k / t >= 0.0)
+
+    lo = hi = 1.5
+    while not admissible(hi):
+        hi *= 2.0
+    if hi == lo:
+        return lo
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if admissible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _moment_scale_fixed_passes(n, sigma, k):
+    """The moment-scale peak search as 200 fixed bisection passes (the reference)."""
+    s = abs(sigma)
+    lo, hi = 1e-9, 1.0
+    while k / hi - 2 * n * hi ** (2 * n - 1) + s > 0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if k / mid - 2 * n * mid ** (2 * n - 1) + s > 0:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    peak = k * math.log(t) - t ** (2 * n) + s * t
+    return math.exp(max(0.0, min(peak, transform.OVERFLOW_EXPONENT)))
+
+
+def test_radius_searches_match_fixed_pass_bisection():
+    # stopping once the midpoint rounds to an end returns the same floats
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+        sigma = float(rng.uniform(-12, 12))
+        k = int(rng.integers(0, 17))
+        tol = float(10.0 ** rng.uniform(-16, -2))
+        assert truncation_radius(n, sigma, k, tol) == _truncation_radius_fixed_passes(n, sigma, k, tol)
+        if k:
+            assert moment_scale(n, sigma, k) == _moment_scale_fixed_passes(n, sigma, k)
+
+
 def test_tolerance_contract_against_half_tol():
     rng = np.random.default_rng(42)
     for _ in range(12):

@@ -25,6 +25,20 @@ def test_gaussian_kernel_has_no_zeros():
     assert scan_real_zeros(1, 20.0, Q) == []
 
 
+def test_scan_returns_only_zeros_up_to_w_max(scanned_zeros_n2):
+    # the third zero, 9.6358588862804..., lies in the grid's last bracket
+    w_max = 9.62585888628049
+    recs = scan_real_zeros(2, w_max, Q)
+    assert all(r.alpha <= w_max for r in recs)
+    assert recs == scanned_zeros_n2[:2]
+
+
+@pytest.mark.parametrize("w_max", [math.inf, math.nan, 0.0, -1.0])
+def test_scan_rejects_w_max_not_positive_and_finite(w_max):
+    with pytest.raises(ValueError):
+        scan_real_zeros(2, w_max, Q)
+
+
 def test_scan_matches_goldens(scanned_zeros_n2, golden_zeros):
     assert len(scanned_zeros_n2) == 10
     for rec, (idx, alpha, fp) in zip(scanned_zeros_n2, golden_zeros):
