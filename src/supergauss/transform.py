@@ -29,9 +29,17 @@ panels (the order-p sums enter only the error estimate and stay in
 float64).  The rounding floor of the estimate, (9 eps + nodes * long
 double eps) * sum |a|(|cos| + |sin|), therefore barely grows with the
 node count where long double is wider than float64, and is still a valid
-bound where it is not.  Grids
-(:func:`eval_transform_grid`) are one batched matrix product whose sums run
-in BLAS order, with a floor that bounds that summation.
+bound where it is not.
+
+Grids (:func:`eval_transform_grid`) fold the even kernel onto [0, T]:
+
+    F = sum over t > 0 of g [(ep + em) cos(wt) + i (ep - em) sin(wt)],
+    ep, em = exp(-t^(2n) +- sigma t),
+
+so half the nodes give two real batched matrix products with the cos and
+sin tables, summed in BLAS order, and Im F is exactly 0 at sigma = 0.  A
+panel's error is |dR| + |dI|, and the floor (:func:`_grid_floor`) covers
+the rounding of ep +- em and the BLAS and panel sums.
 
 Newton refinement sums its panels with :func:`_factored_panel_moments`
 instead: on the same rule and refinement loop, each panel's phase
@@ -40,9 +48,11 @@ exponentials plus 48 per panel width instead of 48 P (P panels of 16 + 32
 nodes), and the panel sums are matrix products with a point-independent
 node matrix.  Its floor, derived in its docstring, is wider, (2p + P + 16
 + 3(|sigma| + |w|) T + 2 T^(2n)) eps of sum |a t^k| plus the node mismatch
-it measures, about three orders below Newton's tolerance at C9; the axis
-scans keep the exact kernel, where a wider floor or moved rounding noise
-would shift the deep zeros.  All paths are deterministic for a given input.
+it measures, about three orders below Newton's tolerance at C9.  Single
+points and the axis scans keep the exact kernel on [-T, T], where a wider
+floor or moved rounding noise would shift the deep zeros; grid values only
+place the raw crossings that Newton then refines.  All paths are
+deterministic for a given input.
 
 For n = 1 the closed form sqrt(pi) * exp(-z^2/4) is provided as an oracle.
 """
@@ -266,12 +276,15 @@ def _tail_bound(n: int, sigma: float, k: int, T: float) -> float:
     return 2.0 * math.exp(g) / (-gp)
 
 
-def _panel_edges(T: float, w_cap: float, sigma: float) -> np.ndarray:
+def _panel_count(T: float, w_cap: float, sigma: float) -> int:
     width = min(_PANEL_CAP,
                 math.pi / max(abs(w_cap), 1e-30),
                 _SIGMA_CAP / max(abs(sigma), 1e-30))
-    count = max(2, int(math.ceil(2.0 * T / width)))
-    return np.linspace(-T, T, count + 1)
+    return max(2, int(math.ceil(2.0 * T / width)))
+
+
+def _panel_edges(T: float, w_cap: float, sigma: float) -> np.ndarray:
+    return np.linspace(-T, T, _panel_count(T, w_cap, sigma) + 1)
 
 
 def eval_derivatives(n: int, ks, sigma, w, q: QuadratureSpec, tol=None,
@@ -352,8 +365,8 @@ def closed_form_gaussian(p: PlanePoint) -> EvalResult:
 
 
 # Shared-node batches: the float64 elements of one (points, nodes) array of
-# the scattered-point path, and of one (panels, rows, 2 * len(w_axis))
-# product in the grid.
+# the scattered-point path, and of one (panels, rows, len(w_axis)) product
+# buffer in the grid (four of them: cos and sin at orders p and 2p).
 _POINT_CHUNK_ELEMS = 1 << 17
 _GRID_CHUNK_ELEMS = 1 << 20
 
@@ -389,13 +402,6 @@ def _shared_rule(n: int, sigma_max: float, w_max: float, orders: tuple[int, ...]
         x, gw = _gl_rule(order)
         rules.append((centers + halves * x, halves * gw))
     return edges, tails, rules
-
-
-def _rounding_floor(rule_2p) -> float:
-    """Relative rounding bound of a shared-rule sum: per-panel dot products of
-    m terms in any (BLAS) order, then the sum over P panels."""
-    panels, m = rule_2p[0].shape
-    return (m + panels + 4) * _EPS
 
 
 def _panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules, orders: tuple[int, ...]):
@@ -570,46 +576,128 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
     return out[0], out[1], out[2]
 
 
+def _half_line_rule(n: int, sigma_max: float, w_max: float, tol_min: float):
+    """The rule of a grid: :func:`_shared_rule` on [0, T] instead of [-T, T].
+
+    T is the truncation radius :func:`_shared_rule` would take, and [0, T]
+    gets half its panel count, rounded up, so the panels are at least as
+    fine.  Returns what :func:`_shared_rule` returns, for the order 0.
+    """
+    _guard_overflow(n, sigma_max)
+    T = truncation_radius(n, sigma_max, 0, 0.5 * tol_min)
+    panels = -(-_panel_count(T, w_max, sigma_max) // 2)
+    return _shared_rule(n, sigma_max, w_max, (0,), tol_min, np.linspace(0.0, T, panels + 1))
+
+
+def _folded_amplitudes(n: int, sigma: np.ndarray, rule):
+    """(a_c, a_s) = (g (ep + em), g (ep - em)), ep, em = exp(-t^(2n) +- sigma t),
+    at the nodes t and weights g of a half-line rule, each of shape (panels,
+    len(sigma), order)."""
+    t, g = rule
+    t2n = (t ** (2 * n))[:, None, :]
+    st = sigma[:, None] * t[:, None, :]
+    ep, em = np.exp(st - t2n), np.exp(-st - t2n)
+    g = g[:, None, :]
+    return g * (ep + em), g * (ep - em)
+
+
+def _grid_floor(n: int, sigma: np.ndarray, w_max: float, t: np.ndarray,
+                a_c: np.ndarray) -> np.ndarray:
+    """Rounding floor of the folded grid sums at each sigma, for |w| <= w_max.
+
+    ``t`` holds the order-2p nodes of a half-line rule, shape (P, m), and
+    ``a_c`` their :func:`_folded_amplitudes`.  With u = eps/2, first-order
+    terms, the rule's floats t and g taken as exact, and pow, exp, cos and
+    sin each within 4 ulp (8u) of the exact function of their float
+    argument:
+
+    - the arguments -t^(2n) +- sigma t carry 8u t^(2n) from the power,
+      u |sigma| t from the product and u (t^(2n) + |sigma| t) from the
+      sum, so ep and em carry u (9 t^(2n) + 2 |sigma| t) + 8u of
+      themselves, and a_c = g (ep + em), after the sum and the weight,
+      u (9 t^(2n) + 2 |sigma| t + 10) of itself;
+    - a_s = g (ep - em) cancels where sigma t is small, and the errors of
+      ep and em need not cancel with it: its absolute error is the same
+      multiple of a_c, not of |a_s|, plus 2u |a_s| <= 2u a_c.  At sigma = 0
+      both arguments are the same float, so a_s and Im F are exactly 0;
+    - the phase wt carries u |w| t, so cos and sin carry u |w| t + 8u
+      absolute, and each product a_c cos, a_s sin, rounded once more, is
+      within u (9 t^(2n) + (2 |sigma| + |w|) t + 19) a_c of its exact value;
+    - a panel's m-term dot product in any order (BLAS; a fused multiply-add
+      only drops roundings) adds (m - 1) u of its sum of |terms| <= a_c,
+      and the float64 sum over the P panels of [0, T], half the panels of
+      [-T, T], adds (P - 1) u of the same sum.
+
+    Adding the real and imaginary parts, |dR| + |dI| (which bounds the
+    modulus of the error) is at most
+
+        eps * sum_j a_c,j (9 t_j^(2n) + (2 |sigma| + w_max) t_j + m + P + 17),
+
+    a sum over nodes that needs no product with the phases.  Amplitudes
+    that underflow to subnormals add at most 2^-1074 each, far below it.
+    """
+    panels, m = t.shape
+    weights = np.stack([9.0 * t ** (2 * n) + (m + panels + 17), t], axis=-1)   # (P, m, 2)
+    s0, s1 = np.tensordot(a_c, weights, axes=([0, 2], [0, 1])).T
+    return _EPS * (s0 + (2.0 * np.abs(sigma) + w_max) * s1)
+
+
 def eval_transform_grid(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray,
                         q: QuadratureSpec):
     """Vectorized transform evaluation on a (sigma, w) grid.
 
-    The integrand factorises as a(sigma, t) * e^{iwt}, so on one shared rule
-    (:func:`_shared_rule`, sized for the whole grid) the per-panel sums of a
-    block of rows are the batched matrix product A(rows x nodes) @
-    [cos | sin](nodes x w), one per panel.  Returns (re, im, err) arrays of
-    shape (len(sigma_axis), len(w_axis)).  Per-row tolerances are q.tol
-    scaled by the row's magnitude scale; rows that cannot meet them report
-    honest error estimates rather than raising.
+    The kernel is even, so on the nodes t > 0 of one half-line rule
+    (:func:`_half_line_rule`, sized for the whole grid)
+
+        F = sum g [(ep + em) cos(wt) + i (ep - em) sin(wt)],
+        ep, em = exp(-t^(2n) +- sigma t),
+
+    and the per-panel sums of a block of rows are two batched real matrix
+    products, a_c(rows x nodes) @ cos(nodes x w) and a_s @ sin, one per
+    panel, written into buffers allocated once per call.  A panel's error is
+    |dR| + |dI| between orders p and 2p, within sqrt(2) of their modulus;
+    the estimate adds the tail bound at T and the floor of
+    :func:`_grid_floor`.  Returns (re, im, err) arrays of shape
+    (len(sigma_axis), len(w_axis)); im is exactly 0 on a sigma = 0 row.
+    Per-row tolerances are q.tol scaled by the row's magnitude scale; rows
+    that cannot meet them report honest error estimates rather than raising.
     """
     n = check_kernel_index(n)
     sigma_axis = np.asarray(sigma_axis, dtype=float)
     w_axis = np.asarray(w_axis, dtype=float)
     nw = w_axis.size
+    w_max = float(np.abs(w_axis).max())
     tol = q.tol * magnitude_scale(n, sigma_axis)
-    _, tails, rules = _shared_rule(n, float(np.abs(sigma_axis).max()),
-                                   float(np.abs(w_axis).max()), (0,), float(tol.min()))
-    floor = _rounding_floor(rules[1])
-    phases = []
+    _, tails, rules = _half_line_rule(n, float(np.abs(sigma_axis).max()), w_max,
+                                      float(tol.min()))
+    trig = []
     for t, _ in rules:
         phase = t[:, :, None] * w_axis                          # (P, m, nw)
-        phases.append(np.concatenate([np.cos(phase), np.sin(phase)], axis=2))
+        trig.append((np.cos(phase), np.sin(phase)))
     panels = rules[1][0].shape[0]
-    abs_phase = (np.abs(phases[1][..., :nw]) + np.abs(phases[1][..., nw:])).reshape(-1, nw)
 
     R = np.empty((sigma_axis.size, nw))
     I = np.empty_like(R)
     E = np.empty_like(R)
-    rows = max(1, _GRID_CHUNK_ELEMS // (panels * 2 * nw))
+    rows = min(sigma_axis.size, max(1, _GRID_CHUNK_ELEMS // (panels * nw)))
+    buffers = np.empty((4, panels * rows * nw))
     for r0 in range(0, sigma_axis.size, rows):
-        s = sigma_axis[None, r0:r0 + rows, None]
-        amps = [wt[:, None, :] * np.exp(-t[:, None, :] ** (2 * n) + s * t[:, None, :])
-                for t, wt in rules]                             # (P, rows, m)
-        (c1, s1), (c2, s2) = ((x[..., :nw], x[..., nw:])
-                              for x in map(np.matmul, amps, phases))   # (P, rows, 2 nw)
-        a2 = np.abs(amps[1]).transpose(1, 0, 2).reshape(s.shape[1], -1)
-        R[r0:r0 + rows] = c2.sum(axis=0)
-        I[r0:r0 + rows] = s2.sum(axis=0)
-        E[r0:r0 + rows] = (np.hypot(c1 - c2, s1 - s2).sum(axis=0) + tails[0]
-                           + floor * (a2 @ abs_phase))
+        s = sigma_axis[r0:r0 + rows]
+        c1, s1, c2, s2 = (b[:panels * s.size * nw].reshape(panels, s.size, nw)
+                          for b in buffers)                     # (P, rows, nw)
+        for rule, (cos, sin), (c, si) in zip(rules, trig, ((c1, s1), (c2, s2))):
+            a_c, a_s = _folded_amplitudes(n, s, rule)
+            np.matmul(a_c, cos, out=c)
+            np.matmul(a_s, sin, out=si)
+        out = slice(r0, r0 + s.size)
+        np.sum(c2, axis=0, out=R[out])
+        np.sum(s2, axis=0, out=I[out])
+        c1 -= c2
+        s1 -= s2
+        np.abs(c1, out=c1)
+        np.abs(s1, out=s1)
+        c1 += s1
+        np.sum(c1, axis=0, out=E[out])
+        # a_c is order 2p's, the last of the loop
+        E[out] += (tails[0] + _grid_floor(n, s, w_max, rules[1][0], a_c))[:, None]
     return R, I, E

@@ -1,17 +1,22 @@
+import functools
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from supergauss import (
     EvalResult,
+    GridField,
     PlanePoint,
     QuadratureSpec,
     closed_form_gaussian,
     eval_derivative,
     eval_derivatives,
     eval_transform,
+    extract_field_lines,
     magnitude_scale,
     moment_scale,
     peak_exponent,
@@ -286,6 +291,118 @@ def test_grid_matches_scalar_within_errors():
             for j in (0, 3, 5, 8, 10):
                 want = eval_transform(n, PlanePoint(float(ws[j]), float(s)), qs)
                 assert abs(complex(R[i, j], I[i, j]) - want.value) <= E[i, j] + want.err_estimate
+
+
+def test_grid_matches_gaussian_closed_form():
+    # the sigma = 40 and 50 rows have peak exponents 400 and 625: their
+    # panel differences would overflow if squared
+    mpmath = pytest.importorskip("mpmath")
+    sig = np.array([0.0, 0.8, 2.0, 40.0, 50.0])
+    ws = np.linspace(-6.0, 6.0, 9)
+    R, I, E = eval_transform_grid(1, sig, ws, Q)
+    assert (I[0] == 0.0).all()
+    for i, s in enumerate(sig):
+        assert np.isfinite(E[i]).all() and (E[i] <= Q.tol * magnitude_scale(1, float(s))).all()
+        for j, w in enumerate(ws):
+            want = _mp_gaussian_derivative(mpmath, 0, float(w), float(s))
+            assert abs(complex(R[i, j], I[i, j]) - want) <= E[i, j]
+
+
+def test_grid_origin_values():
+    # substitution u = t^(2n) gives F(0) = Gamma(1/2n)/n
+    for n in range(1, 7):
+        R, I, E = eval_transform_grid(n, np.array([0.0, 1.0]), np.array([-1.0, 0.0, 1.0]), QT)
+        assert abs(R[0, 1] - math.gamma(1 / (2 * n)) / n) <= E[0, 1]
+        assert (I[0] == 0.0).all()
+
+
+def test_grid_floor_bounds_its_rounding():
+    # against the same half-line rule summed in 30-digit arithmetic, the
+    # folded sums stay within the floor they report; at sigma = 1e-3 the
+    # sinh-like amplitude g (ep - em) cancels to ~1e-3 of its terms
+    mpmath = pytest.importorskip("mpmath")
+    n, sig, ws = 2, np.array([0.0, 1e-3, 20.0]), np.linspace(-10.0, 10.0, 7)
+    R, I, E = eval_transform_grid(n, sig, ws, Q)
+    tol = Q.tol * magnitude_scale(n, sig)
+    _, _, rules = transform._half_line_rule(n, 20.0, 10.0, float(tol.min()))
+    a_c, _ = transform._folded_amplitudes(n, sig, rules[1])
+    floor = transform._grid_floor(n, sig, 10.0, rules[1][0], a_c)
+    assert (floor < 1e-3 * tol).all()
+    t, g = (a.ravel().tolist() for a in rules[1])
+    with mpmath.workdps(30):
+        t4 = [mpmath.mpf(tj) ** (2 * n) for tj in t]
+        for i, s in enumerate(sig.tolist()):
+            ep = [mpmath.mpf(gj) * mpmath.exp(s * tj - q) for tj, gj, q in zip(t, g, t4)]
+            em = [mpmath.mpf(gj) * mpmath.exp(-s * tj - q) for tj, gj, q in zip(t, g, t4)]
+            for j, w in enumerate(ws.tolist()):
+                re = mpmath.fsum((p + m) * mpmath.cos(w * tj) for p, m, tj in zip(ep, em, t))
+                im = mpmath.fsum((p - m) * mpmath.sin(w * tj) for p, m, tj in zip(ep, em, t))
+                assert abs(R[i, j] - float(re)) + abs(I[i, j] - float(im)) <= floor[i]
+
+
+def _unfolded_grid(n, sigma_axis, w_axis, q):
+    """The grid before folding (the reference): A @ [cos | sin] on every
+    panel of [-T, T], the panel error the modulus of the order-p and 2p
+    difference, and the floor (m + P + 4) eps sum |a|(|cos| + |sin|)."""
+    nw = w_axis.size
+    tol = q.tol * magnitude_scale(n, sigma_axis)
+    _, tails, rules = transform._shared_rule(n, float(np.abs(sigma_axis).max()),
+                                             float(np.abs(w_axis).max()), (0,), float(tol.min()))
+    panels, m = rules[1][0].shape
+    floor = (m + panels + 4) * transform._EPS
+    phases = []
+    for t, _ in rules:
+        phase = t[:, :, None] * w_axis
+        phases.append(np.concatenate([np.cos(phase), np.sin(phase)], axis=2))
+    abs_phase = (np.abs(phases[1][..., :nw]) + np.abs(phases[1][..., nw:])).reshape(-1, nw)
+    s = sigma_axis[None, :, None]
+    amps = [wt[:, None, :] * np.exp(-t[:, None, :] ** (2 * n) + s * t[:, None, :])
+            for t, wt in rules]
+    (c1, s1), (c2, s2) = ((x[..., :nw], x[..., nw:]) for x in map(np.matmul, amps, phases))
+    a2 = np.abs(amps[1]).transpose(1, 0, 2).reshape(sigma_axis.size, -1)
+    return (c2.sum(axis=0), s2.sum(axis=0),
+            np.hypot(c1 - c2, s1 - s2).sum(axis=0) + tails[0] + floor * (a2 @ abs_phase))
+
+
+@pytest.mark.parametrize("n, srange, wrange, shape, tol", [
+    (2, (0.1, 20.0), (-10.0, 10.0), (80, 120), 1e-11),    # C9
+    (2, (0.0, 2.0), (0.0, 13.0), (40, 105), 1e-10),       # figure 10
+])
+def test_folded_grid_matches_unfolded_grid(n, srange, wrange, shape, tol):
+    sig, ws = np.linspace(*srange, shape[0]), np.linspace(*wrange, shape[1])
+    q = QuadratureSpec(tol)
+    folded = eval_transform_grid(n, sig, ws, q)
+    unfolded = _unfolded_grid(n, sig, ws, q)
+    assert (np.hypot(folded[0] - unfolded[0], folded[1] - unfolded[1])
+            <= folded[2] + unfolded[2]).all()
+    counts = []
+    for re, im, err in (folded, unfolded):
+        grid = GridField(n=n, sigma_axis=sig, w_axis=ws, re=re, im=im, err=err, q=q)
+        counts.append([len(extract_field_lines(grid, which)) for which in ("R", "I")])
+    assert counts[0] == counts[1]
+
+
+@functools.cache
+def _load_f4():
+    """f4 of scripts/make_zero_goldens.py, imported by path."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "make_zero_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_zero_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.f4
+
+
+@settings(max_examples=8, deadline=None)
+@given(w=st.floats(0.0, 40.0))
+@example(w=0.5)
+@example(w=10.0)
+@example(w=25.0)
+@example(w=40.0)
+def test_error_estimate_bounds_quartic_series_on_axis(w):
+    # n = 2 on the axis against the exact Maclaurin series of the zero-table oracle
+    pytest.importorskip("mpmath")
+    r = eval_transform(2, PlanePoint(w, 0.0), QT)
+    assert abs(r.re - float(_load_f4()(w)[0])) <= r.err_estimate
 
 
 @settings(max_examples=40, deadline=None)
