@@ -39,7 +39,9 @@ Grids (:func:`eval_transform_grid`) fold the even kernel onto [0, T]:
 so half the nodes give two real batched matrix products with the cos and
 sin tables, summed in BLAS order, and Im F is exactly 0 at sigma = 0.  A
 panel's error is |dR| + |dI|, and the floor (:func:`_grid_floor`) covers
-the rounding of ep +- em and the BLAS and panel sums.
+the rounding of ep +- em and the BLAS and panel sums.  A grid whose points
+miss their tolerance on panel errors splits panels as :func:`_point_moments`
+does (:func:`_split_panels`) and is summed again.
 
 Newton refinement sums its panels with :func:`_factored_panel_moments`
 instead: on the same rule and refinement loop, each panel's phase
@@ -529,6 +531,16 @@ def _factored_panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules,
     return value, perr, floor
 
 
+def _split_panels(edges: np.ndarray, share: np.ndarray) -> np.ndarray:
+    """``edges`` with every panel whose ``share`` of some error sum is at
+    least 1/panels split in two, the largest shares first, until _MAX_PANELS
+    panels are in use."""
+    panels = edges.size - 1
+    split = np.flatnonzero(share >= 1.0 / panels)
+    split = split[np.argsort(-share[split], kind="stable")[:_MAX_PANELS - panels]]
+    return np.sort(np.concatenate([edges, 0.5 * (edges[split] + edges[split + 1])]))
+
+
 def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
                    orders: tuple[int, ...], panel_sums=_panel_moments):
     """Moments M_k(w_i - i sigma_i), k in ``orders``, at scattered points.
@@ -566,10 +578,7 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
             panels = edges.size - 1
             if not short.any() or panels >= _MAX_PANELS:
                 break
-            share = (perr[short] / total[short][:, None]).max(axis=0)
-            split = np.flatnonzero(share >= 1.0 / panels)
-            split = split[np.argsort(-share[split], kind="stable")[:_MAX_PANELS - panels]]
-            edges = np.sort(np.concatenate([edges, 0.5 * (edges[split] + edges[split + 1])]))
+            edges = _split_panels(edges, (perr[short] / total[short][:, None]).max(axis=0))
             rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()), edges)
         out[:2, :, sl] = value
         out[2, :, sl] = total + tails[:, None] + floor
@@ -654,22 +663,44 @@ def eval_transform_grid(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray,
 
     and the per-panel sums of a block of rows are two batched real matrix
     products, a_c(rows x nodes) @ cos(nodes x w) and a_s @ sin, one per
-    panel, written into buffers allocated once per call.  A panel's error is
-    |dR| + |dI| between orders p and 2p, within sqrt(2) of their modulus;
-    the estimate adds the tail bound at T and the floor of
-    :func:`_grid_floor`.  Returns (re, im, err) arrays of shape
-    (len(sigma_axis), len(w_axis)); im is exactly 0 on a sigma = 0 row.
-    Per-row tolerances are q.tol scaled by the row's magnitude scale; rows
-    that cannot meet them report honest error estimates rather than raising.
+    panel (:func:`_grid_sums`).  A panel's error is |dR| + |dI| between
+    orders p and 2p, within sqrt(2) of their modulus; the estimate adds the
+    tail bound at T and the floor of :func:`_grid_floor`.  Returns (re, im,
+    err) arrays of shape (len(sigma_axis), len(w_axis)); im is exactly 0 on a
+    sigma = 0 row.  Per-row tolerances are q.tol scaled by the row's
+    magnitude scale.  While some point misses its tolerance with panel
+    errors above half of it, and fewer than _MAX_PANELS panels are in use,
+    the panels holding at least their share of such a point's panel errors
+    are split, as in :func:`_point_moments`, and the grid is summed again.
+    Points that still miss (their floor is above the tolerance, or the panel
+    cap is reached) report honest error estimates rather than raising.
     """
     n = check_kernel_index(n)
     sigma_axis = np.asarray(sigma_axis, dtype=float)
     w_axis = np.asarray(w_axis, dtype=float)
-    nw = w_axis.size
+    sigma_max = float(np.abs(sigma_axis).max())
     w_max = float(np.abs(w_axis).max())
     tol = q.tol * magnitude_scale(n, sigma_axis)
-    _, tails, rules = _half_line_rule(n, float(np.abs(sigma_axis).max()), w_max,
-                                      float(tol.min()))
+    edges, tails, rules = _half_line_rule(n, sigma_max, w_max, float(tol.min()))
+    while True:
+        R, I, E, share = _grid_sums(n, sigma_axis, w_axis, tol, tails[0], rules)
+        if share is None or edges.size - 1 >= _MAX_PANELS:
+            return R, I, E
+        edges, tails, rules = _shared_rule(n, sigma_max, w_max, (0,), float(tol.min()),
+                                           _split_panels(edges, share))
+
+
+def _grid_sums(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray, tol: np.ndarray,
+               tail: float, rules):
+    """One pass of :func:`eval_transform_grid` on a half-line rule.
+
+    The four (panels, rows, len(w_axis)) product outputs of a block of rows
+    are allocated once per pass.  Returns R, I and E, and the largest share
+    of each panel in the panel errors of the points with E above their row's
+    ``tol`` and panel errors above half of it (None if there are none).
+    """
+    nw = w_axis.size
+    w_max = float(np.abs(w_axis).max())
     trig = []
     for t, _ in rules:
         phase = t[:, :, None] * w_axis                          # (P, m, nw)
@@ -679,6 +710,7 @@ def eval_transform_grid(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray,
     R = np.empty((sigma_axis.size, nw))
     I = np.empty_like(R)
     E = np.empty_like(R)
+    share = None
     rows = min(sigma_axis.size, max(1, _GRID_CHUNK_ELEMS // (panels * nw)))
     buffers = np.empty((4, panels * rows * nw))
     for r0 in range(0, sigma_axis.size, rows):
@@ -698,6 +730,13 @@ def eval_transform_grid(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray,
         np.abs(s1, out=s1)
         c1 += s1
         np.sum(c1, axis=0, out=E[out])
+        row_tol = tol[out, None]
+        coarse = E[out] > 0.5 * row_tol
         # a_c is order 2p's, the last of the loop
-        E[out] += (tails[0] + _grid_floor(n, s, w_max, rules[1][0], a_c))[:, None]
-    return R, I, E
+        E[out] += (tail + _grid_floor(n, s, w_max, rules[1][0], a_c))[:, None]
+        short = coarse & (E[out] > row_tol)
+        if short.any():
+            perr = c1[:, short]
+            block = (perr / perr.sum(axis=0)).max(axis=1)
+            share = block if share is None else np.maximum(share, block)
+    return R, I, E, share

@@ -316,6 +316,21 @@ def test_grid_origin_values():
         assert (I[0] == 0.0).all()
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_grid_meets_its_tolerance_at_large_n(n):
+    # the default panels are too coarse for the steep edge of exp(-t^12):
+    # at n = 6 the first pass misses by ~6x, and split panels must mend it
+    for sig, ws in ((np.array([0.0, 1.0]), np.array([-1.0, 0.0, 1.0])),
+                    (np.linspace(0.0, 3.0, 4), np.linspace(0.0, 10.0, 6))):
+        R, I, E = eval_transform_grid(n, sig, ws, Q)
+        for i, s in enumerate(sig):
+            qs = Q.scaled(magnitude_scale(n, float(s)))
+            assert (E[i] <= qs.tol).all()
+            for j, w in enumerate(ws):
+                want = eval_transform(n, PlanePoint(float(w), float(s)), qs)
+                assert abs(complex(R[i, j], I[i, j]) - want.value) <= E[i, j] + want.err_estimate
+
+
 def test_grid_floor_bounds_its_rounding():
     # against the same half-line rule summed in 30-digit arithmetic, the
     # folded sums stay within the floor they report; at sigma = 1e-3 the

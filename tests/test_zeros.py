@@ -1,10 +1,12 @@
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from supergauss import PlanePoint, QuadratureSpec, eval_derivative
+from supergauss import zeros
 from supergauss.errors import NotAZeroError, SimplicityIndeterminateError
 from supergauss.zeros import (
     ZeroRecord,
@@ -23,6 +25,51 @@ Q = QuadratureSpec(tol=1e-10)
 
 def test_gaussian_kernel_has_no_zeros():
     assert scan_real_zeros(1, 20.0, Q) == []
+    assert scan_real_zeros(1, 46.0, Q) == []
+
+
+def _dense_step(n, w):
+    """The scan step before it followed the zero spacing (the reference):
+    0.05 (1 + w)^(-1/(2n-1)), ~120 samples per zero at n = 2."""
+    return min(0.05, 0.05 * (1.0 + w) ** (-1.0 / (2 * n - 1)))
+
+
+@pytest.mark.parametrize("n, w_max, tol", [(n, 30.0, 1e-10) for n in range(2, 7)]
+                         + [(2, 46.0, 1e-12)])
+def test_scan_matches_dense_step_scan(monkeypatch, n, w_max, tol):
+    # the same zeros as a scan at 8-12x the density, each within the summed
+    # distance (residual / |F'|) that both records certify
+    q = QuadratureSpec(tol=tol)
+    recs = scan_real_zeros(n, w_max, q)
+    samples = zeros._scan_grid(n, w_max).size
+    monkeypatch.setattr(zeros, "_default_step", _dense_step)
+    dense = scan_real_zeros(n, w_max, q)
+    assert zeros._scan_grid(n, w_max).size > 5 * samples
+    assert len(recs) == len(dense) > 0
+    for a, b in zip(recs, dense):
+        assert a.index == b.index
+        assert abs(a.alpha - b.alpha) <= (a.residual + b.residual) / abs(a.f_prime)
+
+
+def _samples_per_gap(n, alphas):
+    """Scan samples strictly inside each gap (0, alpha_1), (alpha_1, alpha_2), ..."""
+    ws = zeros._scan_grid(n, alphas[-1])
+    bounds = np.array([0.0] + alphas)
+    return np.searchsorted(ws, bounds[1:], "left") - np.searchsorted(ws, bounds[:-1], "right")
+
+
+def test_scan_step_resolves_oracle_pool_gaps():
+    # the step follows the asymptotic zero spacing, so the 44 pooled zeros,
+    # out to w ~ 80, stay separated by at least 6 scan samples
+    alphas = [r.alpha for r in extended_zero_pool(2, 44)]
+    assert _samples_per_gap(2, alphas).min() >= 6
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_scan_step_resolves_scanned_gaps(n):
+    alphas = [r.alpha for r in scan_real_zeros(n, 30.0, Q)]
+    assert len(alphas) >= 9
+    assert _samples_per_gap(n, alphas).min() >= 6
 
 
 def test_scan_returns_only_zeros_up_to_w_max(scanned_zeros_n2):
@@ -99,6 +146,7 @@ def test_deep_zeros_need_the_oracle_pool():
     # float64 cannot resolve the sign beyond ~alpha_17; the scan stops honestly
     recs = scan_real_zeros(2, 50.0, QuadratureSpec(tol=1e-12))
     assert 17 <= len(recs) <= 20
+    assert len(scan_real_zeros(2, 60.0, QuadratureSpec(tol=1e-12))) == 17
 
 
 def test_extended_pool_agrees_with_scan(scanned_zeros_n2, zero_pool_40):
