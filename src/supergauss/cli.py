@@ -218,8 +218,8 @@ def _cmd_acoeff(args) -> int:
 def _fieldline_rows(lines, start_id):
     rows = []
     for k, line in enumerate(lines, start_id):
-        for p in line.points:
-            rows.append(f"{k},{line.which},{p.sigma!r},{p.w!r}\n")
+        for sigma, w in line.vertices.tolist():
+            rows.append(f"{k},{line.which},{sigma!r},{w!r}\n")
     return rows, start_id + len(lines)
 
 
@@ -251,9 +251,9 @@ def _cmd_fieldlines(args) -> int:
     if args.svg:
         ds = Dataset(x_label="sigma", y_label="w", title=f"nodal lines, kernel exponent {2 * args.n}")
         for line in refined.get(R_LINE, []):
-            ds.add_polyline([(p.sigma, p.w) for p in line.points], color="black")
+            ds.add_polyline(line.vertices.tolist(), color="black")
         for line in refined.get(I_LINE, []):
-            ds.add_polyline([(p.sigma, p.w) for p in line.points], color="green")
+            ds.add_polyline(line.vertices.tolist(), color="green")
         for c in curves:
             pts = [(p.sigma, p.w) for p in c.samples if w0 <= p.w <= w1]
             if len(pts) >= 2:

@@ -7,14 +7,18 @@ for large sigma the R = 0 lines follow explicit power-law asymptotes.
 
 Extraction is marching squares with linear interpolation on a sampled grid,
 with the two ambiguous saddle cases disambiguated by one extra evaluation at
-the cell center.  Vertices are then polished by one-dimensional Newton steps
-along the field gradient, which is available exactly through the first
-derivative of the transform (d/dw = F', d/dsigma = -i F'); all vertices of a
-line step together, with F and F' taken from the same quadrature nodes.
+the cell center.  A line holds its vertices as one (m, 2) array of
+(sigma, w), from extraction through refinement to the audit.  Vertices are
+then polished by one-dimensional Newton steps along the field gradient,
+which is available exactly through the first derivative of the transform
+(d/dw = F', d/dsigma = -i F'); all vertices of a line step together on one
+quadrature rule, with F and F' taken from the same nodes.  The I lines on
+the axes are exact and are not refined.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -25,7 +29,9 @@ from .transform import (
     PlanePoint,
     QuadratureSpec,
     _factored_panel_moments,
+    _factored_tables,
     _point_moments,
+    _Rule,
     _rotate,
     check_kernel_index,
     eval_derivatives,
@@ -76,26 +82,44 @@ class GridField:
         raise ValueError(f"which must be {R_LINE!r} or {I_LINE!r}, got {which!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldLine:
     """A connected polyline on which R (or I) vanishes.
 
+    ``vertices`` is a read-only (m, 2) float64 array of (sigma, w), m >= 2;
+    the constructor takes any (m, 2) array-like and keeps its own copy.
     ``max_residual`` is the largest |field| / magnitude_scale along the
-    polyline; it is infinite until the line has been refined.
+    polyline; it is infinite until the line has been refined.  Lines are
+    equal when their family, vertices and residual are.
     """
 
     which: str
-    points: tuple[PlanePoint, ...]
+    vertices: np.ndarray
     max_residual: float = math.inf
 
     def __post_init__(self):
         if self.which not in (R_LINE, I_LINE):
             raise ValueError(f"which must be {R_LINE!r} or {I_LINE!r}")
-        if len(self.points) < 2:
-            raise ValueError("a polyline needs at least two points")
+        v = np.array(self.vertices, dtype=np.float64)
+        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
+            raise ValueError("a polyline needs an (m, 2) array of vertices, m >= 2")
+        if not np.isfinite(v).all():
+            raise ValueError("polyline vertices must be finite")
+        v.flags.writeable = False
+        object.__setattr__(self, "vertices", v)
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldLine):
+            return NotImplemented
+        return (self.which == other.which and self.max_residual == other.max_residual
+                and np.array_equal(self.vertices, other.vertices))
+
+    @property
+    def points(self) -> tuple[PlanePoint, ...]:
+        return tuple(PlanePoint(w=w, sigma=s) for s, w in self.vertices.tolist())
 
     def as_array(self) -> np.ndarray:
-        return np.array([[p.sigma, p.w] for p in self.points])
+        return self.vertices
 
 
 @dataclass(frozen=True)
@@ -217,11 +241,10 @@ def extract_field_lines(grid: GridField, which: str) -> list[FieldLine]:
     v0, v1 = vals[i0, j0], vals[i1, j1]
     with np.errstate(divide="ignore", invalid="ignore"):
         theta = np.clip(v0 / (v0 - v1), 0.0, 1.0)
-    c_sigma = sig[i0] + theta * (sig[i1] - sig[i0])
-    c_w = ws[j0] + theta * (ws[j1] - ws[j0])
-    points = [PlanePoint(w=w, sigma=s) for s, w in zip(c_sigma.tolist(), c_w.tolist())]
+    crossings = np.column_stack([sig[i0] + theta * (sig[i1] - sig[i0]),
+                                 ws[j0] + theta * (ws[j1] - ws[j0])])
 
-    lines = [FieldLine(which=which, points=tuple(points[k] for k in chain))
+    lines = [FieldLine(which=which, vertices=crossings[chain])
              for chain in _link_segments(np.searchsorted(ids, segments))]
     lines.extend(_axis_lines(grid, which))
     return lines
@@ -266,12 +289,19 @@ def _axis_lines(grid: GridField, which: str) -> list[FieldLine]:
     out = []
     sig, ws = grid.sigma_axis, grid.w_axis
     if ws[0] <= 0.0 <= ws[-1]:
-        pts = tuple(PlanePoint(w=0.0, sigma=float(s)) for s in sig)
-        out.append(FieldLine(which=I_LINE, points=pts, max_residual=0.0))
+        out.append(FieldLine(which=I_LINE, vertices=np.column_stack([sig, np.zeros_like(sig)]),
+                             max_residual=0.0))
     if sig[0] <= 0.0 <= sig[-1]:
-        pts = tuple(PlanePoint(w=float(w), sigma=0.0) for w in ws)
-        out.append(FieldLine(which=I_LINE, points=pts, max_residual=0.0))
+        out.append(FieldLine(which=I_LINE, vertices=np.column_stack([np.zeros_like(ws), ws]),
+                             max_residual=0.0))
     return out
+
+
+def _on_axis(line: FieldLine) -> bool:
+    """Whether ``line`` is an I line on w = 0 or sigma = 0, where I vanishes
+    identically."""
+    v = line.vertices
+    return line.which == I_LINE and bool((v[:, 1] == 0.0).all() or (v[:, 0] == 0.0).all())
 
 
 def _gradient_from_derivative(which: str, d_re, d_im):
@@ -285,9 +315,14 @@ def refine_field_line(n: int, line: FieldLine, q: QuadratureSpec,
                       max_steps: int = 12) -> FieldLine:
     """Newton-polish every vertex along the local field gradient.
 
-    All vertices step together: each pass evaluates F and F' (the t^1 moment
-    on the same nodes, summed by :func:`transform._factored_panel_moments`)
-    at the vertices still moving, and drops those that converged.
+    An I line on an axis is exact (I vanishes identically on w = 0 and on
+    sigma = 0) and comes back unchanged, with max_residual 0.  Otherwise all
+    vertices step together on one rule (:class:`transform._Rule`) sized on
+    all of them, with the point-independent tables of
+    :func:`transform._factored_panel_moments` built once: each pass
+    evaluates F and F' (the t^1 moment on the same nodes) at the vertices
+    still moving, and drops those that converged; a pass whose points need
+    finer panels splits the rule for the passes after it.
     Convergence target is |field| <= q.tol * magnitude_scale(n, sigma); the
     reported max_residual is the worst |field| / scale over the returned
     vertices, so the last of the ``max_steps`` passes only measures.  An
@@ -296,8 +331,12 @@ def refine_field_line(n: int, line: FieldLine, q: QuadratureSpec,
     derivative would need an off-axis zero), so it raises NewtonStallError.
     """
     n = check_kernel_index(n)
-    pts = line.as_array()
-    sigma, w = pts[:, 0].copy(), pts[:, 1].copy()
+    if _on_axis(line):
+        return dataclasses.replace(line, max_residual=0.0)
+    sigma, w = line.vertices.T.copy()
+    abs_sigma = np.abs(sigma)
+    rule = _Rule(n, float(abs_sigma.max()), float(np.abs(w).max()), (0, 1),
+                 q.tol * magnitude_scale(n, float(abs_sigma.min())), _factored_tables)
     resid = np.full(sigma.size, math.inf)
     active = np.arange(sigma.size)
     for step in range(max_steps):
@@ -306,7 +345,7 @@ def refine_field_line(n: int, line: FieldLine, q: QuadratureSpec,
         s, ws = sigma[active], w[active]
         scale = magnitude_scale(n, s)
         tol = q.tol * scale
-        re, im, err = _point_moments(n, s, ws, tol, (0, 1), _factored_panel_moments)
+        re, im, err = _point_moments(n, s, ws, tol, (0, 1), _factored_panel_moments, rule)
         g = re[0] if line.which == R_LINE else im[0]
         resid[active] = np.abs(g) / scale
         moving = np.abs(g) > tol
@@ -329,12 +368,12 @@ def refine_field_line(n: int, line: FieldLine, q: QuadratureSpec,
                 f"field gradient vanished at (sigma={s[i]}, w={ws[i]}); "
                 "an off-axis critical point would contradict the zero geometry")
         moving &= ~stalled
-        step = g[moving] / norm2[moving]
+        dx = g[moving] / norm2[moving]
         active = active[moving]
-        sigma[active] -= step * gs[moving]
-        w[active] -= step * gw[moving]
-    new_pts = tuple(PlanePoint(w=float(wi), sigma=float(si)) for si, wi in zip(sigma, w))
-    return FieldLine(which=line.which, points=new_pts, max_residual=float(resid.max()))
+        sigma[active] -= dx * gs[moving]
+        w[active] -= dx * gw[moving]
+    return FieldLine(which=line.which, vertices=np.column_stack([sigma, w]),
+                     max_residual=float(resid.max()))
 
 
 def asymptote_curves(n: int, branches: list[int],
@@ -378,9 +417,8 @@ def crossing_gradient(n: int, zero: ZeroRecord, q: QuadratureSpec) -> float:
 def _segment_arrays(lines: list[FieldLine]):
     starts, ends = [], []
     for ln in lines:
-        arr = ln.as_array()
-        starts.append(arr[:-1])
-        ends.append(arr[1:])
+        starts.append(ln.vertices[:-1])
+        ends.append(ln.vertices[1:])
     if not starts:
         return np.zeros((0, 2)), np.zeros((0, 2))
     return np.vstack(starts), np.vstack(ends)

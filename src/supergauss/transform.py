@@ -44,13 +44,17 @@ miss their tolerance on panel errors splits panels as :func:`_point_moments`
 does (:func:`_split_panels`) and is summed again.
 
 Newton refinement sums its panels with :func:`_factored_panel_moments`
-instead: on the same rule and refinement loop, each panel's phase
-e^{iz c_p} is factored out of its nodes, so a point takes P complex
-exponentials plus 48 per panel width instead of 48 P (P panels of 16 + 32
-nodes), and the panel sums are matrix products with a point-independent
-node matrix.  Its floor, derived in its docstring, is wider, (2p + P + 16
-+ 3(|sigma| + |w|) T + 2 T^(2n)) eps of sum |a t^k| plus the node mismatch
-it measures, about three orders below Newton's tolerance at C9.  Single
+instead: on the same refinement loop, each panel's phase e^{iz c_p} is
+factored out of its nodes, in real arithmetic, so a point takes P real
+exponentials, cosines and sines plus, per panel width, 48 exponentials
+and 24 cosines and sines (the nodes are exactly antisymmetric, so a
+mirrored node reuses its partner's cosine and sine) instead of exp, cos
+and sin at 48 P nodes (P panels of 16 + 32 nodes), and the panel sums
+are matrix products with a point-independent node matrix.  A line keeps
+one rule (:class:`_Rule`) and those tables for all its Newton passes.
+The floor, derived in its docstring, is wider, (2p + P + 46 + 6(|sigma|
++ |w|) T + 4 T^(2n)) eps of sum |a t^k| plus the node mismatch it
+measures, at most 4.6e-3 of Newton's tolerance at C9.  Single
 points and the axis scans keep the exact kernel on [-T, T], where a wider
 floor or moved rounding noise would shift the deep zeros; grid values only
 place the raw crossings that Newton then refines.  All paths are
@@ -64,6 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,7 +253,14 @@ def truncation_radius(n: int, sigma: float, k: int, tol: float) -> float:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if k < 0:
         raise ValueError(f"moment order k must be >= 0, got {k}")
-    s = abs(float(sigma))
+    return _radius(n, abs(float(sigma)), int(k), float(tol))
+
+
+# The last few radii: a zero scan asks for the same (sigma = 0, order, tol)
+# at every evaluation, while independent queries rarely repeat one.
+@lru_cache(maxsize=4)
+def _radius(n: int, s: float, k: int, tol: float) -> float:
+    """:func:`truncation_radius` of validated arguments, s = |sigma|."""
     lead = math.log(2.0 / tol)
 
     def slack(t: float) -> float:
@@ -450,46 +462,24 @@ def _panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules, orders: tupl
     return value, perr, floor
 
 
-def _factored_panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules,
-                            orders: tuple[int, ...]):
-    """:func:`_panel_moments` with each panel's phase factored out.
+class _FactoredTables(NamedTuple):
+    """The point-independent tables of :func:`_factored_panel_moments` on a rule.
 
-    The rule's panels have equal widths, and splitting only halves them, so
-    every half-width is h_d = h_0 2^-d, h_0 the widest.  With iz = sigma +
-    iw, the term of node t = c_p + h_d x_j of panel p factors as
-
-        h_d g_j t^k exp(izt - t^(2n)) = E_p V_j B_pjk,
-        E_p = exp(iz c_p - c_p^(2n)),   V_j = exp(iz h_d x_j),
-        B_pjk = h_d g_j exp(c_p^(2n) - t^(2n)) t^k,
-
-    and B does not depend on the point.  A point therefore costs P complex
-    exponentials E_p plus one V per width class and order (16 + 32 nodes),
-    instead of exp, cos and sin at all P (16 + 32) nodes; the panel sums
-    S_pk = sum_j V_j B_pjk are one real matrix product per class and order,
-    and M_k = sum_p E_p S_pk.  Moving c_p^(2n) from E into B keeps both in
-    float64 range wherever the integrand is, and the panel width caps of
-    :func:`_panel_edges` give |V| <= e^(|sigma| h) <= e^4.  B holds the
-    rule's own nodes t and weights h g_j; c_p and h are read off each
-    panel's outermost order-2p node pair, and delta = max |c_p + fl(h_d x_j)
-    - t| is measured, so the factorisation is exact up to e^(iz delta).
-
-    The rounding floor, with u = eps/2, T = max |t| and first-order terms:
-    the arguments sigma c - c^(2n) and wc of E carry u(2|sigma| + |w|)T +
-    u T^(2n) (c^(2n) is one float shared by E and B, so its own rounding
-    cancels), sigma y and wy of V, y = fl(h x), carry 2u(|sigma| + |w|)T,
-    and c^(2n) - t^(2n) of B carries 3u T^(2n); the mismatch c + y - t
-    carries |iz|(delta + 2uT); exp, cos, sin, t^k and the products forming
-    E, V, B and E S carry under 16u; the m-term inner sums of the real and
-    imaginary parts carry sqrt(2) m u and the float64 sum over P panels
-    sqrt(2) P u, each of the absolute sum.  So every (order, point) is
-    within
-
-        ((2p + P + 16 + 3(|sigma| + |w|) T + 2 T^(2n)) eps
-         + (|sigma| + |w|) delta) * sum_p |E_p| sum_j |V_j| |B_pjk|
-
-    of its exact sum on the rule, which bounds each term's modulus
-    sum |a t^k|.  Returns what :func:`_panel_moments` returns.
+    ``classes`` holds, per panel width h_d, the panels of that width (a
+    slice when every panel has it) and, for orders p and 2p, the upper half
+    y = h_d x_j > 0 of the node offsets and the (m, orders * panels) matrix
+    B with rows in the order (y, -y); and |B| at order 2p.
     """
+
+    centers: np.ndarray
+    c2n: np.ndarray
+    T: float
+    delta: float
+    classes: list
+
+
+def _factored_tables(n: int, rules, orders: tuple[int, ...]) -> _FactoredTables:
+    """B, |B|, the width classes and delta of a :func:`_shared_rule` rule."""
     t2 = rules[1][0]
     x_out = _gl_rule(2 * _ORDER)[0][-1]
     centers = 0.5 * (t2[:, 0] + t2[:, -1])
@@ -497,38 +487,112 @@ def _factored_panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules,
     h0 = float(halves.max())
     depth = np.rint(np.log2(h0 / halves)).astype(np.int64)
     c2n = centers ** (2 * n)
-    s, ws = sigma[:, None], w[:, None]
-    e = np.exp(s * centers - c2n + 1j * (ws * centers))          # (points, P)
     powers = np.array(orders)
-    sums = [np.empty((sigma.size, centers.size, len(orders)), dtype=complex) for _ in rules]
-    abs_sum = np.empty((sigma.size, centers.size, len(orders)))
     delta = 0.0
+    classes = []
     for d in sorted(set(depth.tolist())):
         sel = np.flatnonzero(depth == d)
         h = math.ldexp(h0, -d)
-        for (t, g), out in zip(rules, sums):
+        per_order = []
+        for t, g in rules:
             t, m = t[sel], t.shape[1]
             y = h * _gl_rule(m)[0]
             delta = max(delta, float(np.abs(centers[sel, None] + y - t).max()))
             b = ((g[sel] * np.exp(c2n[sel, None] - t ** (2 * n)))[..., None]
-                 * t[..., None] ** powers).transpose(1, 0, 2).reshape(m, -1)
-            v = np.exp(s * y + 1j * (ws * y))                          # (points, m)
-            prod = np.concatenate([v.real, v.imag]) @ b
-            out[:, sel] = (prod[:sigma.size] + 1j * prod[sigma.size:]).reshape(
-                sigma.size, sel.size, -1)
-            if m == 2 * _ORDER:
-                abs_sum[:, sel] = (np.abs(v) @ np.abs(b)).reshape(sigma.size, sel.size, -1)
-    s1, s2 = sums
-    e_abs = np.abs(e)
-    moments = (e[:, None, :] @ s2)[:, 0, :].T                          # (orders, points)
-    value = np.stack([moments.real, moments.imag])
-    perr = (e_abs[:, :, None] * np.abs(s1 - s2)).transpose(2, 0, 1)
-    T = float(np.abs(t2).max())
+                 * t[..., None] ** powers).transpose(1, 2, 0).reshape(m, -1)
+            # rows of the nodes m/2 + i, then of their mirrors m/2 - 1 - i at -y
+            per_order.append((y[m // 2:], np.concatenate([b[m // 2:], b[m // 2 - 1::-1]])))
+        if sel.size == centers.size:
+            sel = slice(None)
+        classes.append((sel, per_order, np.abs(per_order[1][1])))
+    return _FactoredTables(centers, c2n, float(np.abs(t2).max()), delta, classes)
+
+
+def _factored_panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules,
+                            orders: tuple[int, ...]):
+    """:func:`_panel_moments` with each panel's phase factored out.
+
+    The rule's panels have equal widths, and splitting only halves them, so
+    every half-width is h_d = h_0 2^-d, h_0 the widest.  With iz = sigma +
+    iw, the term of node t = c_p + y_j, y_j = h_d x_j, of panel p factors as
+
+        h_d g_j t^k exp(izt - t^(2n)) = E_p V_j B_pjk,
+        E_p = exp(sigma c_p - c_p^(2n)) (cos w c_p, sin w c_p),
+        V_j = exp(sigma y_j) (cos w y_j, sin w y_j),
+        B_pjk = h_d g_j exp(c_p^(2n) - t^(2n)) t^k,
+
+    and B does not depend on the point (:func:`_factored_tables`, built once
+    per rule; ``rules`` may be those tables or the rule's nodes).  The
+    Gauss-Legendre nodes are exactly antisymmetric, so the mirrored node -y
+    has V = exp(-sigma y) (cos wy, -sin wy), and a point takes P real
+    exponentials, cosines and sines for E plus, per width class and order,
+    an exponential at each of the 16 + 32 nodes and a cosine and a sine at
+    half of them.  The panel sums S_pk = sum_j V_j B_pjk are one real matrix
+    product per class and order, and M_k = sum_p E_p S_pk in real
+    arithmetic.  Moving c_p^(2n) from E into B keeps both in float64 range
+    wherever the integrand is, and the panel width caps of
+    :func:`_panel_edges` give |V| <= e^(|sigma| h) <= e^4.  B holds the
+    rule's own nodes t and weights h g_j; c_p and h are read off each
+    panel's outermost order-2p node pair, and delta = max |c_p + fl(h_d x_j)
+    - t| is measured, so the factorisation is exact up to e^(iz delta).
+    A panel's error is |dR| + |dI| of E_p (S_pk at order p - at order 2p).
+
+    The rounding floor, with u = eps/2, T = max |t|, first-order terms and
+    exp, cos and sin within 8u of the exact function of their float
+    argument: the arguments sigma c - c^(2n) and wc of E carry
+    u(2|sigma| + |w|)T + u T^(2n) (c^(2n) is one float shared by E and B,
+    so its own rounding cancels), and each part of E, after its product,
+    u((2|sigma| + |w|)T + T^(2n) + 17) of |E|; sigma y and wy of V, y =
+    fl(h x), carry 2u(|sigma| + |w|)T, and each part of V
+    u(2(|sigma| + |w|)T + 17) of |V|; c^(2n) - t^(2n) of B carries
+    3u T^(2n), and B, with its exponential, weight and t^k, u(3T^(2n) + 11)
+    of |B|; the m-term sums of S add m u of sum_j |V_j| |B_pjk|.  A complex
+    error whose parts are each at most x has modulus at most sqrt(2) x, and
+    |a| + |b| <= sqrt(2) |a + ib|, so the errors of E and S add at most
+    twice these relative terms to |dR| + |dI| of E_p S_pk; the real sums
+    over P panels of ER SR -/+ EI SI, with their final difference, add
+    (P + 1) u to each part of sum_p |E_p| |S_pk| (by Cauchy-Schwarz, |ER SR|
+    + |EI SI| <= |E| |S|); the mismatch c + y - t carries |iz|(delta + 2uT)
+    of every term, sqrt(2) times that in |dR| + |dI|.  So every (order,
+    point) is, in |dR| + |dI|, within
+
+        ((m + P + 46 + 6(|sigma| + |w|) T + 4 T^(2n)) eps
+         + 1.5 (|sigma| + |w|) delta) * sum_p |E_p| sum_j |V_j| |B_pjk|
+
+    of its exact sum on the rule, m = 2p, which bounds each term's modulus
+    sum |a t^k|.  Returns what :func:`_panel_moments` returns.
+    """
+    tab = rules if isinstance(rules, _FactoredTables) else _factored_tables(n, rules, orders)
+    points, panels, k = sigma.size, tab.centers.size, len(orders)
+    s, ws = sigma[:, None], w[:, None]
+    e_abs = np.exp(s * tab.centers - tab.c2n)[:, None, :]               # (points, 1, P)
+    phase = ws * tab.centers
+    er, ei = e_abs * np.cos(phase)[:, None, :], e_abs * np.sin(phase)[:, None, :]
+    sums = np.empty((2, 2 * points, k, panels))       # orders p, 2p; parts (R; I)
+    abs_sum = np.empty((points, k, panels))
+    for sel, per_order, abs_b in tab.classes:
+        for out, (y, b) in zip(sums, per_order):
+            half = y.size
+            ab = np.exp(s * np.concatenate([y, -y]))                  # |V|, (points, m)
+            wy = ws * y
+            cos, sin = np.cos(wy), np.sin(wy)
+            v = np.empty((2 * points, 2 * half))
+            np.multiply(ab[:, :half], cos, out=v[:points, :half])
+            np.multiply(ab[:, half:], cos, out=v[:points, half:])
+            np.multiply(ab[:, :half], sin, out=v[points:, :half])
+            np.multiply(ab[:, half:], -sin, out=v[points:, half:])
+            out[:, :, sel] = (v @ b).reshape(2 * points, k, -1)
+        abs_sum[:, :, sel] = (ab @ abs_b).reshape(points, k, -1)
+    sr, si = sums[1, :points], sums[1, points:]                  # (points, orders, P)
+    moments = np.stack([(er * sr - ei * si).sum(axis=2), (er * si + ei * sr).sum(axis=2)])
+    diff = sums[0] - sums[1]
+    dr, di = diff[:points], diff[points:]
+    perr = (np.abs(er * dr - ei * di) + np.abs(er * di + ei * dr)).transpose(1, 0, 2)
     zabs = np.abs(sigma) + np.abs(w)
-    relative = ((2 * _ORDER + centers.size + 16 + 3.0 * zabs * T + 2.0 * T ** (2 * n)) * _EPS
-                + zabs * delta)
-    floor = relative * (e_abs[:, None, :] @ abs_sum)[:, 0, :].T
-    return value, perr, floor
+    relative = ((2 * _ORDER + panels + 46 + 6.0 * zabs * tab.T + 4.0 * tab.T ** (2 * n)) * _EPS
+                + 1.5 * zabs * tab.delta)
+    floor = relative * (e_abs * abs_sum).sum(axis=2).T
+    return moments.transpose(0, 2, 1), perr, floor
 
 
 def _split_panels(edges: np.ndarray, share: np.ndarray) -> np.ndarray:
@@ -541,19 +605,70 @@ def _split_panels(edges: np.ndarray, share: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([edges, 0.5 * (edges[split] + edges[split + 1])]))
 
 
+class _Rule:
+    """A :func:`_shared_rule` panel set that :func:`_point_moments` calls share.
+
+    ``tables`` is what the kernel sums on: the rule's nodes, or
+    ``prepare(n, nodes, orders)`` when the kernel has point-independent
+    tables of its own (:func:`_factored_tables`), built once per panel set.
+    :meth:`split` refines the panel set in place; :meth:`cover` extends its
+    tail bounds to a larger |sigma|.  ``per_point`` is the number of float64
+    elements one point takes in the kernel's largest arrays: (points, nodes)
+    for :func:`_panel_moments`, (points, orders, panels) for the factored
+    kernel.
+    """
+
+    def __init__(self, n: int, sigma_max: float, w_max: float, orders: tuple[int, ...],
+                 tol_min: float, prepare=None):
+        self.n, self.orders, self.prepare = n, orders, prepare
+        self.sigma_max, self.w_max, self.tol_min = sigma_max, w_max, tol_min
+        self._build(None)
+
+    def _build(self, edges) -> None:
+        self.edges, self.tails, self.nodes = _shared_rule(
+            self.n, self.sigma_max, self.w_max, self.orders, self.tol_min, edges)
+        self.tables = (self.nodes if self.prepare is None
+                       else self.prepare(self.n, self.nodes, self.orders))
+
+    @property
+    def panels(self) -> int:
+        return self.edges.size - 1
+
+    @property
+    def per_point(self) -> int:
+        if self.prepare is None:
+            return self.nodes[1][0].size
+        return self.panels * len(self.orders)
+
+    def split(self, share: np.ndarray) -> None:
+        self._build(_split_panels(self.edges, share))
+
+    def cover(self, sigma_max: float) -> None:
+        """Take the tail bounds again on the same panels if |sigma| reaches
+        past the rule's, so they bound every point; an estimate that then
+        misses its tolerance is reported, not hidden."""
+        if sigma_max > self.sigma_max:
+            self.sigma_max = sigma_max
+            self.tails = np.array([_tail_bound(self.n, sigma_max, k, float(self.edges[-1]))
+                                   for k in self.orders])
+
+
 def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
-                   orders: tuple[int, ...], panel_sums=_panel_moments):
+                   orders: tuple[int, ...], panel_sums=_panel_moments, rule=None):
     """Moments M_k(w_i - i sigma_i), k in ``orders``, at scattered points.
 
     ``tol`` broadcasts to (len(orders), len(sigma)).  Points go in chunks of
-    about _POINT_CHUNK_ELEMS node terms, and each chunk shares one rule
-    (:func:`_shared_rule`) sized for its smallest tolerance.  While some
-    (order, point) has panel errors summing to more than half its tolerance
-    and fewer than _MAX_PANELS panels are in use, every panel holding at
-    least its share of such a sum is split in two.  The
-    error estimate of each point is the sum over panels of |order p - order
-    2p|, plus the tail bound at the shared radius, plus the rounding floor
-    of ``panel_sums``: the exact :func:`_panel_moments`, or
+    about _POINT_CHUNK_ELEMS elements of the kernel's arrays.  Without
+    ``rule``, each chunk takes its own :class:`_Rule` sized for its smallest
+    tolerance; a ``rule`` given (one rule for many calls, prepared for
+    ``panel_sums``) serves every chunk, after :meth:`_Rule.cover` extends its
+    tail bounds to the batch's largest |sigma|.  While some (order, point)
+    has panel errors summing to more than half its tolerance and fewer than
+    _MAX_PANELS panels are in use, every panel holding at least its share of
+    such a sum is split in two, in place, so a given rule comes back split.
+    The error estimate of each point is the sum over panels of its panel
+    errors, plus the tail bound at the shared radius, plus the rounding
+    floor of ``panel_sums``: the exact :func:`_panel_moments`, or
     :func:`_factored_panel_moments` for Newton refinement.  Returns re, im
     and err, each of shape (len(orders), len(sigma)).
     """
@@ -561,27 +676,28 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
     if sigma.size == 0:
         return out[0], out[1], out[2]
     tol = np.full(out.shape[1:], tol)
-    rule = _shared_rule(n, float(np.abs(sigma).max()), float(np.abs(w).max()), orders,
-                        float(tol.min()))
-    step = max(1, _POINT_CHUNK_ELEMS // rule[2][1][0].size)
+    fresh = rule is None
+    if fresh:
+        rule = _Rule(n, float(np.abs(sigma).max()), float(np.abs(w).max()), orders,
+                     float(tol.min()))
+    else:
+        rule.cover(float(np.abs(sigma).max()))
+    step = max(1, _POINT_CHUNK_ELEMS // rule.per_point)
     for c0 in range(0, sigma.size, step):
         sl = slice(c0, c0 + step)
         s, ws, ts = sigma[sl], w[sl], tol[:, sl]
-        s_max, w_max = float(np.abs(s).max()), float(np.abs(ws).max())
-        if step < sigma.size:
-            rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()))
+        if fresh and step < sigma.size:
+            rule = _Rule(n, float(np.abs(s).max()), float(np.abs(ws).max()), orders,
+                         float(ts.min()))
         while True:
-            edges, tails, rules = rule
-            value, perr, floor = panel_sums(n, s, ws, rules, orders)
+            value, perr, floor = panel_sums(n, s, ws, rule.tables, orders)
             total = perr.sum(axis=2)
             short = total > 0.5 * ts
-            panels = edges.size - 1
-            if not short.any() or panels >= _MAX_PANELS:
+            if not short.any() or rule.panels >= _MAX_PANELS:
                 break
-            edges = _split_panels(edges, (perr[short] / total[short][:, None]).max(axis=0))
-            rule = _shared_rule(n, s_max, w_max, orders, float(ts.min()), edges)
+            rule.split((perr[short] / total[short][:, None]).max(axis=0))
         out[:2, :, sl] = value
-        out[2, :, sl] = total + tails[:, None] + floor
+        out[2, :, sl] = total + rule.tails[:, None] + floor
     return out[0], out[1], out[2]
 
 

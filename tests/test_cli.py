@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from supergauss import QuadratureSpec, cache
@@ -219,6 +220,38 @@ def test_fieldlines_asymptote_rows_parse(capsys, tmp_path):
     assert any(r[1] == "asymptote" for r in rows)
     for r in rows:
         float(r[2]), float(r[3])
+
+
+def test_fieldline_rows_parse_and_match_points():
+    from supergauss.cli import _fieldline_rows
+    from supergauss.fieldlines import FieldLine
+
+    vertices = np.array([[0.1, 1.0 / 3.0], [2.0 ** -40, 7.25], [1e300, -0.0]])
+    lines = [FieldLine(which="R", vertices=vertices), FieldLine(which="I", vertices=vertices[:2])]
+    rows, next_id = _fieldline_rows(lines, 4)
+    assert next_id == 6 and len(rows) == 5
+    parsed = [r.rstrip("\n").split(",") for r in rows]
+    want = [(k, line.which, p) for k, line in enumerate(lines, 4) for p in line.points]
+    for (k, which, sigma, w), (k_want, which_want, p) in zip(parsed, want):
+        assert (int(k), which) == (k_want, which_want)
+        assert (float(sigma), float(w)) == (p.sigma, p.w)
+
+
+@pytest.mark.parametrize("n, wmax", [(2, "28"), (3, "17")])
+def test_zero_table_unchanged_by_radius_memo(capsys, tmp_path, monkeypatch, n, wmax):
+    # the truncation radius is a pure function: remembering it changes no byte
+    from supergauss import transform
+
+    argv = ("zeros", "--n", str(n), "--wmax", wmax)
+    monkeypatch.setenv("POLYA_CACHE_DIR", str(tmp_path / "memo"))
+    transform._radius.cache_clear()
+    _, with_memo = run_cli(capsys, *argv)
+    assert transform._radius.cache_info().hits > 0
+    monkeypatch.setenv("POLYA_CACHE_DIR", str(tmp_path / "plain"))
+    monkeypatch.setattr(transform, "_radius", transform._radius.__wrapped__)
+    _, without = run_cli(capsys, *argv)
+    assert len(parse_zero_cache(with_memo)) >= 5
+    assert with_memo == without
 
 
 def test_orbit_csv(capsys, tmp_path):

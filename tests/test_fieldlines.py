@@ -142,10 +142,8 @@ def test_intersection_audit_emptiness_trivia():
 
 
 def test_intersection_audit_detects_contact():
-    a = [FieldLine(which=R_LINE, points=(PlanePoint(0.0, 0.0), PlanePoint(1.0, 1.0)),
-                   max_residual=0.0)]
-    b = [FieldLine(which=I_LINE, points=(PlanePoint(1.0, 0.0), PlanePoint(0.0, 1.0)),
-                   max_residual=0.0)]
+    a = [FieldLine(which=R_LINE, vertices=[(0.0, 0.0), (1.0, 1.0)], max_residual=0.0)]
+    b = [FieldLine(which=I_LINE, vertices=[(0.0, 1.0), (1.0, 0.0)], max_residual=0.0)]
     hits = intersection_audit(a, b, 1e-6)
     assert len(hits) == 1
     assert hits[0].w == pytest.approx(0.5, abs=1e-6)
@@ -166,8 +164,7 @@ def test_newton_stall_surfaces_loudly(monkeypatch):
 
     monkeypatch.setattr(fl, "_gradient_from_derivative",
                         lambda which, d_re, d_im: (0.0 * d_re, 0.0 * d_im))
-    line = FieldLine(which=R_LINE,
-                     points=(PlanePoint(3.0, 1.0), PlanePoint(3.1, 1.1)))
+    line = FieldLine(which=R_LINE, vertices=[(1.0, 3.0), (1.1, 3.1)])
     with pytest.raises(NewtonStallError):
         refine_field_line(2, line, Q)
 
@@ -179,8 +176,7 @@ def test_refinement_raises_when_tolerance_not_met(monkeypatch):
 
     monkeypatch.setattr(transform, "truncation_radius", lambda *a: 0.5)
     q = QuadratureSpec(tol=1e-9)
-    line = FieldLine(which=R_LINE,
-                     points=(PlanePoint(3.0, 1.0), PlanePoint(3.1, 1.1)))
+    line = FieldLine(which=R_LINE, vertices=[(1.0, 3.0), (1.1, 3.1)])
     with pytest.raises(ToleranceNotMetError):
         refine_field_line(2, line, q)
 
@@ -334,8 +330,7 @@ def _reference_extract(grid, which, center_positive=None):
             visited.add(cur)
             chain.append(cur)
         if len(chain) >= 2:
-            pts = tuple(PlanePoint(w=crossings[k][1], sigma=crossings[k][0]) for k in chain)
-            lines.append(FieldLine(which=which, points=pts))
+            lines.append(FieldLine(which=which, vertices=[crossings[k] for k in chain]))
     return lines + fl._axis_lines(grid, which)
 
 
@@ -425,8 +420,10 @@ def test_audit_matches_all_pairs_scan():
                           PlanePoint(w=5.15 + side * 0.45, sigma=x0)])
     r_pts.append([PlanePoint(w=20.0, sigma=20.0), PlanePoint(w=21.0, sigma=21.0)])
     i_pts.append([PlanePoint(w=21.0, sigma=20.0), PlanePoint(w=20.0, sigma=21.0)])
-    r_lines = [FieldLine(which=R_LINE, points=tuple(p), max_residual=0.0) for p in r_pts]
-    i_lines = [FieldLine(which=I_LINE, points=tuple(p), max_residual=0.0) for p in i_pts]
+    r_lines = [FieldLine(which=R_LINE, vertices=[(q.sigma, q.w) for q in p], max_residual=0.0)
+               for p in r_pts]
+    i_lines = [FieldLine(which=I_LINE, vertices=[(q.sigma, q.w) for q in p], max_residual=0.0)
+               for p in i_pts]
 
     want = _all_pairs_audit(r_lines, i_lines, tol)
     got = intersection_audit(r_lines, i_lines, tol)
@@ -456,3 +453,92 @@ def test_extraction_matches_per_cell_reference_on_real_saddles(n, srange, wrange
         assert np.isin(bits, (5, 10)).any()
         got = extract_field_lines(grid, which)
         assert got and got == _reference_extract(grid, which)
+
+
+# ------------------------------------------------------------ refinement
+
+
+def test_axis_lines_are_returned_without_evaluation(monkeypatch):
+    # I vanishes identically on w = 0 and on sigma = 0: no kernel call is made
+    from supergauss import fieldlines as fl
+
+    calls = []
+    real = fl._point_moments
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].size)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(fl, "_point_moments", counting)
+    g = sample_field_grid(2, (0.0, 2.0), (-1.0, 3.0), (12, 16), Q)
+    axis = fl._axis_lines(g, I_LINE)
+    assert len(axis) == 2
+    for line in axis:
+        assert refine_field_line(2, line, Q) == line
+    unrefined = FieldLine(which=I_LINE, vertices=[(0.0, 1.0), (0.0, 2.5), (0.0, 4.0)])
+    refined = refine_field_line(2, unrefined, Q)
+    assert refined.max_residual == 0.0
+    assert (refined.vertices == unrefined.vertices).all()
+    assert calls == []
+    # an R line on the axis is refined as any other line
+    refine_field_line(2, FieldLine(which=R_LINE, vertices=[(0.0, 3.3), (0.0, 3.6)]), Q)
+    assert calls
+
+
+def _reference_refine(n, line, q, max_steps=12):
+    """Refinement before lines held arrays: every axis line refined, a new
+    rule for every pass, and the vertices handed back as PlanePoints."""
+    from supergauss import transform
+    from supergauss.fieldlines import _gradient_from_derivative
+
+    pts = line.points
+    sigma = np.array([p.sigma for p in pts])
+    w = np.array([p.w for p in pts])
+    resid = np.full(sigma.size, math.inf)
+    active = np.arange(sigma.size)
+    for step in range(max_steps):
+        if active.size == 0:
+            break
+        s, ws = sigma[active], w[active]
+        scale = transform.magnitude_scale(n, s)
+        tol = q.tol * scale
+        re, im, err = transform._point_moments(n, s, ws, tol, (0, 1),
+                                               transform._factored_panel_moments)
+        g = re[0] if line.which == R_LINE else im[0]
+        resid[active] = np.abs(g) / scale
+        moving = np.abs(g) > tol
+        assert not ((err[0] > tol) | (moving & (err[1] > tol))).any()
+        if step == max_steps - 1:
+            break
+        gs, gw = _gradient_from_derivative(line.which, *transform._rotate(1, re[1], im[1]))
+        norm2 = gs * gs + gw * gw
+        stalled = moving & (np.sqrt(norm2) <= np.maximum(10 * err[1], 1e-13 * scale))
+        assert not (stalled & (np.abs(s) > 1e-9)).any()
+        moving &= ~stalled
+        dx = g[moving] / norm2[moving]
+        active = active[moving]
+        sigma[active] -= dx * gs[moving]
+        w[active] -= dx * gw[moving]
+    new_pts = tuple(PlanePoint(w=float(wi), sigma=float(si)) for si, wi in zip(sigma, w))
+    return FieldLine(which=line.which, vertices=[(p.sigma, p.w) for p in new_pts],
+                     max_residual=float(resid.max()))
+
+
+@pytest.mark.parametrize("n, srange, wrange, resolution", _PROGRAM_WINDOWS)
+def test_refinement_matches_per_pass_reference(n, srange, wrange, resolution):
+    grid = sample_field_grid(n, srange, wrange, resolution, QuadratureSpec(tol=1e-11))
+    q = QuadratureSpec(tol=1e-10)
+    families = {}
+    for which in (R_LINE, I_LINE):
+        lines = extract_field_lines(grid, which)
+        families[which] = ([refine_field_line(n, l, q) for l in lines],
+                           [_reference_refine(n, l, q) for l in lines])
+    for got, want in families.values():
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.vertices.shape == b.vertices.shape
+            assert np.abs(a.vertices - b.vertices).max() <= 1e-11
+            assert a.max_residual <= q.tol and b.max_residual <= q.tol
+    hits = [intersection_audit(families[R_LINE][k], families[I_LINE][k], 1e-4) for k in (0, 1)]
+    assert len(hits[0]) == len(hits[1])
+    for a, b in zip(*hits):
+        assert abs(a.sigma - b.sigma) <= 1e-9 and abs(a.w - b.w) <= 1e-9

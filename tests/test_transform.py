@@ -554,7 +554,8 @@ def test_newton_kernel_error_estimate_bounds_gaussian_error(w, sigma):
         assert abs(complex(re[k, 0], im[k, 0]) - want) <= err[k, 0]
 
 
-@pytest.mark.parametrize("n, w, sigma", [(2, 10.0, 20.0), (6, -6.4, 5.9), (1, 12.0, 3.0)])
+@pytest.mark.parametrize("n, w, sigma", [(2, 10.0, 20.0), (6, -6.4, 5.9), (1, 12.0, 3.0),
+                                         (1, 60.0, 2.0)])
 def test_factored_kernel_floor_bounds_its_rounding(n, w, sigma):
     # against the same rule summed in 30-digit arithmetic, the factored sums
     # stay within the rounding floor they report
@@ -571,3 +572,29 @@ def test_factored_kernel_floor_bounds_its_rounding(n, w, sigma):
         for k in (0, 1):
             exact = complex(mpmath.fsum(a * mpmath.mpf(tj) ** k for a, tj in zip(terms, t)))
             assert abs(complex(value[0, k, 0], value[1, k, 0]) - exact) <= floor[k, 0]
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_gauss_legendre_nodes_exactly_antisymmetric(m):
+    # the factored kernel takes V at the mirrored node -y from V at y
+    x = transform._gl_rule(m)[0]
+    assert (x == -x[::-1]).all()
+
+
+def test_many_panel_rule_for_floor_test():
+    # the n = 1, w = 60 floor test point runs on hundreds of panels
+    edges, _, _ = transform._shared_rule(1, 2.0, 60.0, (0, 1), 1e-10 * magnitude_scale(1, 2.0))
+    assert edges.size - 1 >= 200
+
+
+def test_rule_covers_a_larger_sigma():
+    # a vertex that moves past the rule's largest |sigma| gets tail bounds
+    # taken at its own |sigma|, on the same panels
+    rule = transform._Rule(2, 3.0, 5.0, (0, 1), 1e-10)
+    edges, tails = rule.edges, rule.tails
+    rule.cover(2.0)
+    assert rule.sigma_max == 3.0 and rule.tails is tails
+    rule.cover(3.001)
+    assert rule.edges is edges and (rule.tails > tails).all()
+    want = [transform._tail_bound(2, 3.001, k, float(edges[-1])) for k in (0, 1)]
+    assert rule.tails.tolist() == want
