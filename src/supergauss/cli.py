@@ -13,6 +13,7 @@ names with either dashes or underscores.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -330,9 +331,16 @@ _DISPATCH = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one :func:`build_parser` parser of this process; parsing keeps no
+    state in it, so every :func:`main` call can reuse it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     # pre-scan for --config FILE / --config=FILE so its values become
     # overridable defaults
     at = next((i for i, arg in enumerate(argv)

@@ -257,29 +257,45 @@ def _link_segments(segments: np.ndarray) -> list[list[int]]:
     cells, and a cell uses each edge once).  Open chains come first, each
     walked from its smaller end, then closed loops, each from its smallest
     node toward its smaller neighbour; both in order of their first node.
+
+    The neighbours come from sorting the segment endpoints: ``lo`` and
+    ``hi`` hold each node's smaller and larger neighbour (-1 for none), and
+    a walk follows, at every node, the neighbour it did not come from, to
+    the chain's far end or back to the loop's first node.
     """
-    count = int(segments.max()) + 1 if segments.size else 0
-    nbrs = [[] for _ in range(count)]
-    for a, b in segments.tolist():
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    visited = [False] * count
-    chains = []
-    ends = [k for k in range(count) if len(nbrs[k]) == 1]
-    for start in ends + [k for k in range(count) if len(nbrs[k]) > 1]:
-        if visited[start]:
-            continue
-        chain = [start]
-        visited[start] = True
-        cur = start
-        while True:
-            nxt = [k for k in nbrs[cur] if not visited[k]]
-            if not nxt:
-                break
-            cur = min(nxt)
-            visited[cur] = True
+    if segments.size == 0:
+        return []
+    count = int(segments.max()) + 1
+    node = np.concatenate([segments[:, 0], segments[:, 1]])
+    nbr = np.concatenate([segments[:, 1], segments[:, 0]])
+    order = np.lexsort((nbr, node))
+    node, nbr = node[order], nbr[order]
+    degree = np.bincount(node, minlength=count)
+    first = np.searchsorted(node, np.arange(count))
+    lo = nbr[first].tolist()
+    hi = np.where(degree == 2, nbr[np.minimum(first + 1, nbr.size - 1)], -1).tolist()
+
+    def walk(start: int) -> list[int]:
+        chain, prev, cur = [start], start, lo[start]
+        while cur >= 0 and cur != start:
             chain.append(cur)
-        chains.append(chain)
+            prev, cur = cur, (hi[cur] if lo[cur] == prev else lo[cur])
+        return chain
+
+    chains = []
+    far = bytearray(count)                          # far ends of walked chains
+    for start in np.flatnonzero(degree == 1).tolist():
+        if not far[start]:
+            chains.append(walk(start))
+            far[chains[-1][-1]] = 1
+    # what no open chain reached lies on loops
+    rest = np.ones(count, dtype=bool)
+    if chains:
+        rest[np.concatenate(chains)] = False
+    for start in np.flatnonzero(rest).tolist():
+        if rest[start]:
+            chains.append(walk(start))
+            rest[chains[-1]] = False
     return chains
 
 

@@ -21,6 +21,18 @@ its one-order, one-point case.  Zero scans and Newton refinement call
 :func:`_point_moments` directly: a scan reads the estimates without
 requiring them, and Newton requires F' only at vertices still moving.
 
+Each rule carries every point-independent table its kernel sums on (for
+the exact kernel the flat nodes and weights, -t^(2n) and the grouped
+powers t^k and |t^k|, :func:`_node_tables`), built once per rule.  The
+fresh rules of :func:`_point_moments` come from one small process-local
+cache (:class:`_RuleCache`) keyed by what fixes a rule: (n, sigma_max,
+orders, T, panel count), with T taken once per request through
+:func:`truncation_radius`.  A zero scan asks for the same rule at most of
+its evaluations, so most of them reuse its tables; a hit returns the very
+arrays a miss would build, so every value is the same to the bit.  Kept
+rules are read-only, a refinement builds a new rule instead of splitting a
+kept one, and the cache holds at most 4 rules and 1 MiB of their arrays.
+
 :func:`_point_moments` has one refinement loop: while an (order, point)'s
 panel errors exceed half its tolerance, every panel holding at least its
 share of them is split.  The order-2p node terms are summed in float64 in
@@ -65,7 +77,9 @@ For n = 1 the closed form sqrt(pi) * exp(-z^2/4) is provided as an oracle.
 
 from __future__ import annotations
 
+import copy
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -263,14 +277,13 @@ def _radius(n: int, s: float, k: int, tol: float) -> float:
     """:func:`truncation_radius` of validated arguments, s = |sigma|."""
     lead = math.log(2.0 / tol)
 
-    def slack(t: float) -> float:
-        return 0.5 * t ** (2 * n) - s * t - k * math.log(t) - lead
-
-    def slack_prime(t: float) -> float:
-        return n * t ** (2 * n - 1) - s - k / t
+    def admissible(t: float) -> bool:
+        # slack 0.5 t^(2n) - |sigma| t - k ln t - ln(2/tol) and its derivative
+        return not (0.5 * t ** (2 * n) - s * t - k * math.log(t) - lead < 0.0
+                    or n * t ** (2 * n - 1) - s - k / t < 0.0)
 
     # the smallest admissible radius; 1.5 itself when it is admissible
-    return _boundary(lambda t: not (slack(t) < 0.0 or slack_prime(t) < 0.0), 1.5, 1.5)[1]
+    return _boundary(admissible, 1.5, 1.5)[1]
 
 
 def _tail_bound(n: int, sigma: float, k: int, T: float) -> float:
@@ -295,10 +308,6 @@ def _panel_count(T: float, w_cap: float, sigma: float) -> int:
                 math.pi / max(abs(w_cap), 1e-30),
                 _SIGMA_CAP / max(abs(sigma), 1e-30))
     return max(2, int(math.ceil(2.0 * T / width)))
-
-
-def _panel_edges(T: float, w_cap: float, sigma: float) -> np.ndarray:
-    return np.linspace(-T, T, _panel_count(T, w_cap, sigma) + 1)
 
 
 def eval_derivatives(n: int, ks, sigma, w, q: QuadratureSpec, tol=None,
@@ -391,23 +400,40 @@ _GROUP = 8
 _LONG_EPS = float(np.finfo(np.longdouble).eps)
 
 
+def _rule_size(n: int, sigma_max: float, w_max: float, orders: tuple[int, ...],
+               tol_min: float) -> tuple[float, int]:
+    """Truncation radius T and panel count of the rule of a batch.
+
+    T is the truncation radius at the batch's largest |sigma|, largest
+    moment order and smallest tolerance; T grows with each of them, so it
+    covers every point.  Panel widths follow the largest |w| and |sigma|,
+    so each point gets panels at least as fine as its own would be.  A
+    |sigma| past the overflow guard raises before T is sought.
+    """
+    _guard_overflow(n, sigma_max)
+    T = truncation_radius(n, sigma_max, max(orders), 0.5 * tol_min)
+    return T, _panel_count(T, w_max, sigma_max)
+
+
 def _shared_rule(n: int, sigma_max: float, w_max: float, orders: tuple[int, ...],
                  tol_min: float, edges: np.ndarray | None = None):
     """One panel set on [-T, T] shared by every point of a batch.
 
-    T is the truncation radius at the batch's largest |sigma|, largest moment
-    order and smallest tolerance; T grows with each of them, so it covers
-    every point.  Panel widths follow the largest |w| and |sigma|, so each
-    point gets panels at least as fine as its own would be.  ``edges``, if
-    given, replaces that panel set (a refinement of it).  Returns the edges,
-    the tail bound at T for each moment order (each also bounds every
-    smaller |sigma|) and, for orders p and 2p, the nodes and weights, both of
-    shape (panels, order).
+    The panels are the :func:`_rule_size` ones, equal panels on [-T, T];
+    ``edges``, if given, replaces them (a refinement of them, or a grid's
+    half line).  Returns the edges, the tail bound at T for each moment
+    order (each also bounds every smaller |sigma|) and, for orders p and
+    2p, the nodes and weights, both of shape (panels, order).
     """
-    _guard_overflow(n, sigma_max)
     if edges is None:
-        T = truncation_radius(n, sigma_max, max(orders), 0.5 * tol_min)
-        edges = _panel_edges(T, w_max, sigma_max)
+        T, panels = _rule_size(n, sigma_max, w_max, orders, tol_min)
+        edges = np.linspace(-T, T, panels + 1)
+    return (edges, *_rule_nodes(n, sigma_max, orders, edges))
+
+
+def _rule_nodes(n: int, sigma_max: float, orders: tuple[int, ...], edges: np.ndarray):
+    """The tail bounds and the order p and 2p nodes and weights of
+    :func:`_shared_rule` on the panels ``edges``."""
     tails = np.array([_tail_bound(n, sigma_max, k, float(edges[-1])) for k in orders])
     centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
     halves = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -415,50 +441,94 @@ def _shared_rule(n: int, sigma_max: float, w_max: float, orders: tuple[int, ...]
     for order in (_ORDER, 2 * _ORDER):
         x, gw = _gl_rule(order)
         rules.append((centers + halves * x, halves * gw))
-    return edges, tails, rules
+    return tails, rules
 
 
-def _panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules, orders: tuple[int, ...]):
+def _powers(t: np.ndarray, orders: tuple[int, ...]) -> np.ndarray:
+    """t^k for each k in ``orders``, along a new last axis.
+
+    This is ``t[..., None] ** np.array(orders)``.  When every order is 0 or
+    1 the columns are 1 and t themselves, which pow returns exactly, so the
+    shortcut changes no bit.  Otherwise the one broadcast expression over
+    the whole order tuple is kept: pow's last bit depends on the layout of
+    its operands, so a column computed on its own can differ from it.
+    """
+    if not set(orders) <= {0, 1}:
+        return t[..., None] ** np.array(orders)
+    powers = np.empty(t.shape + (len(orders),))
+    for i, k in enumerate(orders):
+        powers[..., i] = t if k else 1.0
+    return powers
+
+
+class _NodeTables(NamedTuple):
+    """The point-independent tables of :func:`_panel_moments` on a rule.
+
+    ``per_order`` holds, for orders p and 2p, the flat nodes t, their
+    weights g and -t^(2n), each of shape (nodes,), and the powers t^k in
+    the node groups the kernel sums, of shape (groups, group size, orders);
+    ``abs_powers`` is |t^k| at order 2p, of shape (nodes, orders).
+    """
+
+    panels: int
+    per_order: tuple
+    abs_powers: np.ndarray
+
+    def arrays(self) -> list[np.ndarray]:
+        return [a for tables in self.per_order for a in tables] + [self.abs_powers]
+
+
+def _node_tables(n: int, nodes, orders: tuple[int, ...]) -> _NodeTables:
+    """The :class:`_NodeTables` of a :func:`_shared_rule` rule: a panel is a
+    group at order p, _GROUP nodes are one at order 2p."""
+    per_order = []
+    for (t, g), group in zip(nodes, (_ORDER, _GROUP)):
+        powers = _powers(t, orders).reshape(-1, group, len(orders))
+        t = t.ravel()
+        per_order.append((t, g.ravel(), -t ** (2 * n), powers))
+    return _NodeTables(nodes[0][0].shape[0], tuple(per_order),
+                       np.abs(powers.reshape(t.size, -1)))
+
+
+def _panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, tables: _NodeTables,
+                   orders: tuple[int, ...]):
     """Moments of the points (sigma, w) on one shared rule.
 
     Sums of a(t) * t^k * cos/sin(wt) over groups of nodes are batched matrix
-    products of the node terms with the powers t^k.  At order p, which
-    enters only the error estimate, a group is a panel.  At order 2p a group
-    holds _GROUP nodes and the group sums are added in long double, so the
-    rounding floor, ((5 + _GROUP/2) eps + nodes * long double eps) *
+    products of the node terms with the powers t^k, read with the nodes,
+    weights and -t^(2n) from the rule's :class:`_NodeTables`.  At order p,
+    which enters only the error estimate, a group is a panel.  At order 2p
+    a group holds _GROUP nodes and the group sums are added in long double,
+    so the rounding floor, ((5 + _GROUP/2) eps + nodes * long double eps) *
     sum |a t^k|(|cos| + |sin|), barely grows with the panel count.
     Returns the order-2p moments (re, im) of shape (orders, points), the
     per-panel |order p - order 2p| of shape (orders, points, panels), and
     the floor of shape (orders, points).  Points go in blocks of at most
     _POINT_CHUNK_ELEMS node terms.
     """
-    panels = rules[0][0].shape[0]
+    panels = tables.panels
     value = np.empty((2, len(orders), sigma.size))
     perr = np.empty((len(orders), sigma.size, panels))
     floor = np.empty((len(orders), sigma.size))
-    step = max(1, _POINT_CHUNK_ELEMS // rules[1][0].size)
+    step = max(1, _POINT_CHUNK_ELEMS // tables.abs_powers.shape[0])
     for c0 in range(0, sigma.size, step):
         sl = slice(c0, c0 + step)
         sums = []
-        for (t, wt), dtype in zip(rules, (np.float64, np.longdouble)):
-            m = t.shape[1]
-            group = _GROUP if dtype is np.longdouble else m
-            powers = (t[..., None] ** np.array(orders)).reshape(-1, group, len(orders))
-            t = t.ravel()
-            a = wt.ravel() * np.exp(-t ** (2 * n) + sigma[sl, None] * t)   # (points, nodes)
+        for (t, g, neg_t2n, powers), dtype in zip(tables.per_order, (np.float64, np.longdouble)):
+            group = powers.shape[1]
+            a = g * np.exp(neg_t2n + sigma[sl, None] * t)               # (points, nodes)
             phase = w[sl, None] * t
             cos, sin = np.cos(phase), np.sin(phase)
             sums.append([np.matmul((a * f).reshape(a.shape[0], -1, group).transpose(1, 0, 2),
                                    powers)                              # (groups, points, orders)
-                         .reshape(panels, m // group, -1, len(orders)).sum(axis=1, dtype=dtype)
+                         .reshape(panels, -1, a.shape[0], len(orders)).sum(axis=1, dtype=dtype)
                          for f in (cos, sin)])                          # (P, points, orders)
-        (c1, s1), (c2, s2) = sums       # a, cos, sin and powers are order 2p's
+        (c1, s1), (c2, s2) = sums       # a, cos and sin are order 2p's
         value[0, :, sl] = c2.sum(axis=0).T
         value[1, :, sl] = s2.sum(axis=0).T
         perr[:, sl] = np.hypot(c1 - c2, s1 - s2).transpose(2, 1, 0)
         relative = (5.0 + 0.5 * _GROUP) * _EPS + t.size * _LONG_EPS
-        floor[:, sl] = relative * ((a * (np.abs(cos) + np.abs(sin)))
-                                   @ np.abs(powers.reshape(t.size, -1))).T
+        floor[:, sl] = relative * ((a * (np.abs(cos) + np.abs(sin))) @ tables.abs_powers).T
     return value, perr, floor
 
 
@@ -476,6 +546,14 @@ class _FactoredTables(NamedTuple):
     T: float
     delta: float
     classes: list
+
+    def arrays(self) -> list[np.ndarray]:
+        out = [self.centers, self.c2n]
+        for sel, per_order, abs_b in self.classes:
+            out += [a for pair in per_order for a in pair] + [abs_b]
+            if isinstance(sel, np.ndarray):
+                out.append(sel)
+        return out
 
 
 def _factored_tables(n: int, rules, orders: tuple[int, ...]) -> _FactoredTables:
@@ -508,8 +586,8 @@ def _factored_tables(n: int, rules, orders: tuple[int, ...]) -> _FactoredTables:
     return _FactoredTables(centers, c2n, float(np.abs(t2).max()), delta, classes)
 
 
-def _factored_panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules,
-                            orders: tuple[int, ...]):
+def _factored_panel_moments(n: int, sigma: np.ndarray, w: np.ndarray,
+                            tab: _FactoredTables, orders: tuple[int, ...]):
     """:func:`_panel_moments` with each panel's phase factored out.
 
     The rule's panels have equal widths, and splitting only halves them, so
@@ -522,16 +600,16 @@ def _factored_panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules,
         B_pjk = h_d g_j exp(c_p^(2n) - t^(2n)) t^k,
 
     and B does not depend on the point (:func:`_factored_tables`, built once
-    per rule; ``rules`` may be those tables or the rule's nodes).  The
-    Gauss-Legendre nodes are exactly antisymmetric, so the mirrored node -y
-    has V = exp(-sigma y) (cos wy, -sin wy), and a point takes P real
+    per rule).  The Gauss-Legendre nodes are exactly antisymmetric, so the
+    mirrored node -y has V = exp(-sigma y) (cos wy, -sin wy), and a point
+    takes P real
     exponentials, cosines and sines for E plus, per width class and order,
     an exponential at each of the 16 + 32 nodes and a cosine and a sine at
     half of them.  The panel sums S_pk = sum_j V_j B_pjk are one real matrix
     product per class and order, and M_k = sum_p E_p S_pk in real
     arithmetic.  Moving c_p^(2n) from E into B keeps both in float64 range
     wherever the integrand is, and the panel width caps of
-    :func:`_panel_edges` give |V| <= e^(|sigma| h) <= e^4.  B holds the
+    :func:`_panel_count` give |V| <= e^(|sigma| h) <= e^4.  B holds the
     rule's own nodes t and weights h g_j; c_p and h are read off each
     panel's outermost order-2p node pair, and delta = max |c_p + fl(h_d x_j)
     - t| is measured, so the factorisation is exact up to e^(iz delta).
@@ -562,7 +640,6 @@ def _factored_panel_moments(n: int, sigma: np.ndarray, w: np.ndarray, rules,
     of its exact sum on the rule, m = 2p, which bounds each term's modulus
     sum |a t^k|.  Returns what :func:`_panel_moments` returns.
     """
-    tab = rules if isinstance(rules, _FactoredTables) else _factored_tables(n, rules, orders)
     points, panels, k = sigma.size, tab.centers.size, len(orders)
     s, ws = sigma[:, None], w[:, None]
     e_abs = np.exp(s * tab.centers - tab.c2n)[:, None, :]               # (points, 1, P)
@@ -608,27 +685,34 @@ def _split_panels(edges: np.ndarray, share: np.ndarray) -> np.ndarray:
 class _Rule:
     """A :func:`_shared_rule` panel set that :func:`_point_moments` calls share.
 
-    ``tables`` is what the kernel sums on: the rule's nodes, or
-    ``prepare(n, nodes, orders)`` when the kernel has point-independent
-    tables of its own (:func:`_factored_tables`), built once per panel set.
-    :meth:`split` refines the panel set in place; :meth:`cover` extends its
-    tail bounds to a larger |sigma|.  ``per_point`` is the number of float64
-    elements one point takes in the kernel's largest arrays: (points, nodes)
-    for :func:`_panel_moments`, (points, orders, panels) for the factored
-    kernel.
+    ``tables`` is what the kernel sums on, ``prepare(n, nodes, orders)``:
+    :func:`_node_tables` for the exact :func:`_panel_moments`,
+    :func:`_factored_tables` for the factored kernel, built once per panel
+    set.  :meth:`split` refines the panel set in place and :meth:`refined`
+    returns the refinement as a new rule, leaving this one as it is;
+    :meth:`cover` extends the tail bounds to a larger |sigma|, and
+    :meth:`freeze` makes the rule read-only.  ``per_point`` is the number
+    of float64 elements one point takes in the kernel's largest arrays:
+    (points, nodes) for :func:`_panel_moments`, (points, orders, panels)
+    for the factored kernel.
     """
 
     def __init__(self, n: int, sigma_max: float, w_max: float, orders: tuple[int, ...],
-                 tol_min: float, prepare=None):
-        self.n, self.orders, self.prepare = n, orders, prepare
-        self.sigma_max, self.w_max, self.tol_min = sigma_max, w_max, tol_min
-        self._build(None)
+                 tol_min: float, prepare=_node_tables, edges: np.ndarray | None = None):
+        self.n, self.orders, self.prepare, self.sigma_max = n, orders, prepare, sigma_max
+        self._build(*_shared_rule(n, sigma_max, w_max, orders, tol_min, edges))
 
-    def _build(self, edges) -> None:
-        self.edges, self.tails, self.nodes = _shared_rule(
-            self.n, self.sigma_max, self.w_max, self.orders, self.tol_min, edges)
-        self.tables = (self.nodes if self.prepare is None
-                       else self.prepare(self.n, self.nodes, self.orders))
+    def _build(self, edges: np.ndarray, tails: np.ndarray, nodes) -> None:
+        self.edges, self.tails = edges, tails
+        self.tables = self.prepare(self.n, nodes, self.orders)
+
+    def freeze(self) -> None:
+        """Make the edges, tail bounds and tables read-only, and count their
+        bytes in ``nbytes``."""
+        arrays = [self.edges, self.tails, *self.tables.arrays()]
+        for a in arrays:
+            a.setflags(write=False)
+        self.nbytes = sum(a.nbytes for a in arrays)
 
     @property
     def panels(self) -> int:
@@ -636,21 +720,81 @@ class _Rule:
 
     @property
     def per_point(self) -> int:
-        if self.prepare is None:
-            return self.nodes[1][0].size
+        if isinstance(self.tables, _NodeTables):
+            return self.tables.abs_powers.shape[0]
         return self.panels * len(self.orders)
 
     def split(self, share: np.ndarray) -> None:
-        self._build(_split_panels(self.edges, share))
+        edges = _split_panels(self.edges, share)
+        self._build(edges, *_rule_nodes(self.n, self.sigma_max, self.orders, edges))
+
+    def refined(self, share: np.ndarray) -> "_Rule":
+        rule = copy.copy(self)
+        rule.split(share)
+        return rule
 
     def cover(self, sigma_max: float) -> None:
         """Take the tail bounds again on the same panels if |sigma| reaches
         past the rule's, so they bound every point; an estimate that then
-        misses its tolerance is reported, not hidden."""
+        misses its tolerance is reported, not hidden.  A |sigma| past the
+        overflow guard raises, as it would for a new rule."""
         if sigma_max > self.sigma_max:
+            _guard_overflow(self.n, sigma_max)
             self.sigma_max = sigma_max
             self.tails = np.array([_tail_bound(self.n, sigma_max, k, float(self.edges[-1]))
                                    for k in self.orders])
+
+
+class _RuleCache:
+    """The most recently used fresh rules of :func:`_point_moments`.
+
+    A rule is fixed by (prepare, n, sigma_max, orders, T, panel count): its
+    edges are the panel count's equal panels on [-T, T], its tail bounds
+    follow from n, sigma_max, the orders and T, and its tables from the
+    nodes.  So :meth:`get` takes T once, through :func:`truncation_radius`
+    (with its validation and memo), looks the rule up, and on a miss builds
+    it from that same T: a hit returns the very arrays a miss would have
+    built, and a miss adds only the lookup and :meth:`_Rule.freeze` to the
+    build.  Kept rules are read-only, and a refinement of one is a new rule
+    (:meth:`_Rule.refined`).  At most ``max_rules`` rules and ``max_bytes``
+    bytes of rule arrays are kept, the least recently used going first; a
+    larger rule is built and not kept.
+    """
+
+    def __init__(self, max_rules: int, max_bytes: int):
+        self.max_rules, self.max_bytes = max_rules, max_bytes
+        self.rules: OrderedDict = OrderedDict()
+        self.nbytes = 0
+
+    def get(self, n: int, sigma_max: float, w_max: float, orders: tuple[int, ...],
+            tol_min: float, prepare) -> _Rule:
+        T, panels = _rule_size(n, sigma_max, w_max, orders, tol_min)
+        key = (prepare, n, sigma_max, orders, T, panels)
+        rule = self.rules.get(key)
+        if rule is not None:
+            self.rules.move_to_end(key)
+            return rule
+        rule = _Rule(n, sigma_max, w_max, orders, tol_min, prepare,
+                     np.linspace(-T, T, panels + 1))
+        rule.freeze()
+        if rule.nbytes <= self.max_bytes:
+            self.rules[key] = rule
+            self.nbytes += rule.nbytes
+            while len(self.rules) > self.max_rules or self.nbytes > self.max_bytes:
+                self.nbytes -= self.rules.popitem(last=False)[1].nbytes
+        return rule
+
+    def clear(self) -> None:
+        self.rules.clear()
+        self.nbytes = 0
+
+
+# A zero scan asks for the same (sigma = 0, order, tol) rule at most of its
+# evaluations, and a coefficient table for a few rules at many w, each run of
+# repeats back to back: four rules keep every repeat of a perfbench
+# axis_tables round (seeds 1, 2, 3, 11), while independent queries rarely
+# repeat a rule at all.
+_RULES = _RuleCache(max_rules=4, max_bytes=1 << 20)
 
 
 def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
@@ -660,17 +804,19 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
     ``tol`` broadcasts to (len(orders), len(sigma)).  Points go in chunks of
     about _POINT_CHUNK_ELEMS elements of the kernel's arrays.  Without
     ``rule``, each chunk takes its own :class:`_Rule` sized for its smallest
-    tolerance; a ``rule`` given (one rule for many calls, prepared for
+    tolerance, from the rule cache (:class:`_RuleCache`), with the tables of
+    ``panel_sums``; a ``rule`` given (one rule for many calls, prepared for
     ``panel_sums``) serves every chunk, after :meth:`_Rule.cover` extends its
     tail bounds to the batch's largest |sigma|.  While some (order, point)
     has panel errors summing to more than half its tolerance and fewer than
     _MAX_PANELS panels are in use, every panel holding at least its share of
-    such a sum is split in two, in place, so a given rule comes back split.
-    The error estimate of each point is the sum over panels of its panel
-    errors, plus the tail bound at the shared radius, plus the rounding
-    floor of ``panel_sums``: the exact :func:`_panel_moments`, or
-    :func:`_factored_panel_moments` for Newton refinement.  Returns re, im
-    and err, each of shape (len(orders), len(sigma)).
+    such a sum is split in two: a given rule in place, so it comes back
+    split, and a cached one into a new rule.  The error estimate of each
+    point is the sum over panels of its panel errors, plus the tail bound at
+    the shared radius, plus the rounding floor of ``panel_sums``: the exact
+    :func:`_panel_moments`, or :func:`_factored_panel_moments` for Newton
+    refinement.  Returns re, im and err, each of shape (len(orders),
+    len(sigma)).
     """
     out = np.empty((3, len(orders), sigma.size))
     if sigma.size == 0:
@@ -678,8 +824,9 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
     tol = np.full(out.shape[1:], tol)
     fresh = rule is None
     if fresh:
-        rule = _Rule(n, float(np.abs(sigma).max()), float(np.abs(w).max()), orders,
-                     float(tol.min()))
+        prepare = _node_tables if panel_sums is _panel_moments else _factored_tables
+        rule = _RULES.get(n, float(np.abs(sigma).max()), float(np.abs(w).max()), orders,
+                          float(tol.min()), prepare)
     else:
         rule.cover(float(np.abs(sigma).max()))
     step = max(1, _POINT_CHUNK_ELEMS // rule.per_point)
@@ -687,15 +834,19 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
         sl = slice(c0, c0 + step)
         s, ws, ts = sigma[sl], w[sl], tol[:, sl]
         if fresh and step < sigma.size:
-            rule = _Rule(n, float(np.abs(s).max()), float(np.abs(ws).max()), orders,
-                         float(ts.min()))
+            rule = _RULES.get(n, float(np.abs(s).max()), float(np.abs(ws).max()), orders,
+                              float(ts.min()), prepare)
         while True:
             value, perr, floor = panel_sums(n, s, ws, rule.tables, orders)
             total = perr.sum(axis=2)
             short = total > 0.5 * ts
             if not short.any() or rule.panels >= _MAX_PANELS:
                 break
-            rule.split((perr[short] / total[short][:, None]).max(axis=0))
+            share = (perr[short] / total[short][:, None]).max(axis=0)
+            if fresh:
+                rule = rule.refined(share)
+            else:
+                rule.split(share)
         out[:2, :, sl] = value
         out[2, :, sl] = total + rule.tails[:, None] + floor
     return out[0], out[1], out[2]

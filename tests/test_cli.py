@@ -14,7 +14,7 @@ from supergauss.cache import (
     write_zero_cache,
     zero_cache_path,
 )
-from supergauss.cli import main
+from supergauss.cli import build_parser, main
 from supergauss.errors import EmitError
 from supergauss.svgplot import Dataset, emit_svg
 from supergauss.zeros import ZeroRecord
@@ -53,6 +53,30 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--n", "1", "--w", "0"])  # missing --sigma
     assert exc.value.code == 2
+
+
+def test_parser_reused_across_calls(capsys, monkeypatch):
+    # one parser serves every call of a process: a rejected call leaves
+    # nothing behind, and a later call's omitted flags take their defaults
+    from supergauss import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        assert run_cli(capsys, "eval", "--n", "7", "--w", "0", "--sigma", "0")[0] == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--n", "2", "--w", "0", "--sigma", "0", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out = run_cli(capsys, "eval", "--n", "1", "--w", "0", "--sigma", "0",
+                            "--format", "json")
+        assert code == 0 and json.loads(out)["re"] == pytest.approx(math.sqrt(math.pi))
+        code, out = run_cli(capsys, "eval", "--n", "1", "--w", "0", "--sigma", "0")
+        assert code == 0 and out.startswith("re,im,err_estimate,l_squared\n")
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_zeros_empty_for_gaussian(capsys, tmp_path, monkeypatch):

@@ -388,6 +388,86 @@ def test_extraction_matches_per_cell_reference_on_program_windows(n, srange, wra
         assert got and got == _reference_extract(grid, which)
 
 
+def _reference_link(segments):
+    """The Python walk over neighbour lists that the array linking replaced."""
+    count = int(segments.max()) + 1 if segments.size else 0
+    nbrs = [[] for _ in range(count)]
+    for a, b in segments.tolist():
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    visited = [False] * count
+    chains = []
+    ends = [k for k in range(count) if len(nbrs[k]) == 1]
+    for start in ends + [k for k in range(count) if len(nbrs[k]) > 1]:
+        if visited[start]:
+            continue
+        chain = [start]
+        visited[start] = True
+        cur = start
+        while True:
+            nxt = [k for k in nbrs[cur] if not visited[k]]
+            if not nxt:
+                break
+            cur = min(nxt)
+            visited[cur] = True
+            chain.append(cur)
+        chains.append(chain)
+    return chains
+
+
+def _random_paths_and_loops(rng, pieces):
+    """Segments of random paths and loops over shuffled node ids, each
+    segment in a random direction, in random order."""
+    sizes = rng.integers(2, 12, pieces)
+    loops = rng.random(pieces) < 0.4
+    sizes[loops] = np.maximum(sizes[loops], 3)
+    ids = rng.permutation(int(sizes.sum()))
+    segments, at = [], 0
+    for size, is_loop in zip(sizes.tolist(), loops.tolist()):
+        nodes = ids[at:at + size].tolist()
+        at += size
+        segments += list(zip(nodes, nodes[1:] + nodes[:1] if is_loop else nodes[1:]))
+    segments = np.array(segments)
+    flip = rng.random(len(segments)) < 0.5
+    segments[flip] = segments[flip, ::-1]
+    return segments[rng.permutation(len(segments))]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_link_segments_matches_reference_walk_on_random_graphs(seed):
+    from supergauss.fieldlines import _link_segments
+
+    rng = np.random.default_rng(seed)
+    for pieces in (1, 2, 5, 40):
+        segments = _random_paths_and_loops(rng, pieces)
+        assert _link_segments(segments) == _reference_link(segments)
+    assert _link_segments(np.empty((0, 2), dtype=np.int64)) == []
+
+
+@pytest.mark.parametrize("n, srange, wrange, resolution", [
+    (2, (0.0, 20.0), (-10.0, 10.0), (200, 300)),
+    (2, (0.0, 2.0), (0.0, 13.0), (160, 420)),
+    (3, (0.5, 6.0), (0.0, 6.0), (220, 260)),
+])
+def test_link_segments_matches_reference_walk_on_program_windows(monkeypatch, n, srange,
+                                                                 wrange, resolution):
+    # the C9, figure 10 and figure 2 windows at full resolution
+    from supergauss import fieldlines as fl
+
+    linked = []
+
+    def spy(segments):
+        chains = link(segments)
+        linked.append(chains == _reference_link(segments))
+        return chains
+    link = fl._link_segments
+    monkeypatch.setattr(fl, "_link_segments", spy)
+    grid = sample_field_grid(n, srange, wrange, resolution, QuadratureSpec(tol=1e-10))
+    for which in (R_LINE, I_LINE):
+        extract_field_lines(grid, which)
+    assert linked == [True, True]
+
+
 def _all_pairs_audit(r_lines, i_lines, tol):
     from supergauss.fieldlines import _segment_arrays, _segment_min_distances
 

@@ -420,6 +420,54 @@ def test_error_estimate_bounds_quartic_series_on_axis(w):
     assert abs(r.re - float(_load_f4()(w)[0])) <= r.err_estimate
 
 
+def _quartic_series(mpmath, w, sigma):
+    """F and F' of the n = 2 kernel at z = w - i sigma from the Maclaurin
+    series of ``f4`` in scripts/make_zero_goldens.py, taken to complex z:
+    F(z) = sum_p (-1)^p Gamma((2p+1)/4) / (2 (2p)!) z^(2p).  The working
+    precision grows like |z|^(4/3), as f4's does with w, to absorb the
+    cancellation of the terms."""
+    z = complex(w, -sigma)
+    dps = 60 + int(2.0 * abs(z) ** (4 / 3) / math.log(10))
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(w, -sigma)
+        f = d1 = largest = mpmath.mpf(0)
+        p = 0
+        while True:
+            coeff = (-1) ** p * mpmath.gamma((2 * p + 1) / mpmath.mpf(4)) \
+                / (2 * mpmath.factorial(2 * p))
+            lead = coeff * z ** (2 * p)
+            largest = max(largest, abs(lead))
+            f += lead
+            if p:
+                d1 += coeff * 2 * p * z ** (2 * p - 1)
+            if p > 8 and abs(lead) < largest * mpmath.mpf(10) ** (-dps + 2) \
+                    and abs(lead) < mpmath.mpf(10) ** (-dps + 10):
+                return complex(f), complex(d1)
+            p += 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(w=st.floats(-12.0, 12.0), sigma=st.floats(0.0, 3.0))
+@example(w=0.0, sigma=0.0)
+@example(w=12.0, sigma=3.0)
+@example(w=-7.5, sigma=1.25)
+def test_error_estimates_bound_quartic_series_off_axis(w, sigma):
+    # n = 2 off the axis: F and F' from the exact kernel and from Newton's
+    # factored kernel, each within its own estimate of the series
+    mpmath = pytest.importorskip("mpmath")
+    want = _quartic_series(mpmath, w, sigma)
+    tol = np.array([[1e-10 * moment_scale(2, sigma, k)] for k in (0, 1)])
+    re, im, err = eval_derivatives(2, (0, 1), sigma, w, Q, tol)
+    for k in (0, 1):
+        assert abs(complex(re[k, 0], im[k, 0]) - want[k]) <= err[k, 0]
+    re, im, err = transform._point_moments(2, np.array([sigma]), np.array([w]), tol, (0, 1),
+                                           transform._factored_panel_moments)
+    assert (err <= tol).all()
+    values = (complex(re[0, 0], im[0, 0]), complex(*transform._rotate(1, re[1, 0], im[1, 0])))
+    for k in (0, 1):
+        assert abs(values[k] - want[k]) <= err[k, 0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(w=st.floats(-4, 4), sigma=st.floats(-2, 2))
 def test_reflection_symmetries(w, sigma):
@@ -498,11 +546,9 @@ def test_factored_kernel_on_split_panels(monkeypatch, n, w, sigma):
     classes = []
     kernel = transform._factored_panel_moments
 
-    def spy(n, s, ws, rules, orders):
-        t = rules[1][0]
-        halves = t[:, -1] - t[:, 0]
-        classes.append(len(set(np.rint(np.log2(halves.max() / halves)).tolist())))
-        return kernel(n, s, ws, rules, orders)
+    def spy(n, s, ws, tables, orders):
+        classes.append(len(tables.classes))
+        return kernel(n, s, ws, tables, orders)
     monkeypatch.setattr(transform, "_factored_panel_moments", spy)
     tol, (a, b) = _both_kernels(n, [sigma], [w])
     assert classes[0] == 1 and max(classes) == 2
@@ -562,8 +608,8 @@ def test_factored_kernel_floor_bounds_its_rounding(n, w, sigma):
     mpmath = pytest.importorskip("mpmath")
     _, _, rules = transform._shared_rule(n, abs(sigma), abs(w), (0, 1),
                                          1e-10 * magnitude_scale(n, sigma))
-    value, _, floor = transform._factored_panel_moments(n, np.array([sigma]), np.array([w]),
-                                                        rules, (0, 1))
+    value, _, floor = transform._factored_panel_moments(
+        n, np.array([sigma]), np.array([w]), transform._factored_tables(n, rules, (0, 1)), (0, 1))
     t, g = (a.ravel().tolist() for a in rules[1])
     with mpmath.workdps(30):
         z = mpmath.mpc(sigma, w)
@@ -598,3 +644,82 @@ def test_rule_covers_a_larger_sigma():
     assert rule.edges is edges and (rule.tails > tails).all()
     want = [transform._tail_bound(2, 3.001, k, float(edges[-1])) for k in (0, 1)]
     assert rule.tails.tolist() == want
+
+
+# ------------------------------------------------------------ rule cache
+
+
+def _moments(n, sigma, w, orders):
+    """_point_moments at moment-scaled tolerance 1e-10, as raw bytes."""
+    sigma, w = np.broadcast_arrays(np.array(sigma, dtype=float, ndmin=1),
+                                   np.array(w, dtype=float, ndmin=1))
+    tol = np.array([[1e-10 * moment_scale(n, float(sigma.max()), k)] for k in orders])
+    return b"".join(a.tobytes() for a in transform._point_moments(n, sigma, w, tol, orders))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rule_cache_hit_is_bit_identical_to_a_fresh_rule(n):
+    for orders in [(0,), (0, 1), (0, 1, 3, 4), tuple(range(13))]:
+        for sigma in (0.0, 1.75):
+            for w in (0.0, 7.3, [2.0, -4.5, 9.0]):
+                transform._RULES.clear()
+                cold = _moments(n, sigma, w, orders)
+                assert len(transform._RULES.rules) == 1
+                warm = _moments(n, sigma, w, orders)
+                assert warm == cold, (orders, sigma, w)
+
+
+@pytest.mark.parametrize("n, w, sigma", [(6, -6.4, 5.9), (5, 3.0, 6.0)])
+def test_split_leaves_the_cached_rule_unchanged(monkeypatch, n, w, sigma):
+    # the panels of these points are too coarse: the refinement splits them
+    # into a new rule, and the cached one keeps its panels and tables
+    refined = []
+    real = transform._Rule.refined
+
+    def spy(self, share):
+        refined.append(self.panels)
+        return real(self, share)
+    monkeypatch.setattr(transform._Rule, "refined", spy)
+    transform._RULES.clear()
+    first = _moments(n, sigma, w, (0, 1))
+    assert refined
+    (rule,) = transform._RULES.rules.values()
+    arrays = [rule.edges, rule.tails, *rule.tables.arrays()]
+    before = [a.copy() for a in arrays]
+    assert rule.panels == refined[0]
+    assert _moments(n, sigma, w, (0, 1)) == first
+    (again,) = transform._RULES.rules.values()
+    assert again is rule and rule.panels == refined[0]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
+
+
+def test_cached_rule_tables_are_read_only():
+    transform._RULES.clear()
+    _moments(2, 0.5, 3.0, (0, 1, 2))
+    (rule,) = transform._RULES.rules.values()
+    arrays = [rule.edges, rule.tails, *rule.tables.arrays()]
+    assert len(arrays) == 11
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_rule_cache_stays_within_its_bounds():
+    cache = transform._RULES
+    cache.clear()
+    for i in range(2000):
+        _moments(2, 1e-3 * i, 1.0 + 4e-3 * i, (0,))
+        assert len(cache.rules) <= cache.max_rules and cache.nbytes <= cache.max_bytes
+    assert cache.nbytes == sum(rule.nbytes for rule in cache.rules.values())
+    assert len(cache.rules) == cache.max_rules
+
+
+@pytest.mark.parametrize("orders", [(0,), (1,), (0, 1), (1, 0), (1, 1, 0)])
+def test_low_order_powers_match_pow_bitwise(orders):
+    # orders 0 and 1 are filled in as 1 and t, which pow returns exactly
+    rng = np.random.default_rng(7)
+    t = rng.uniform(-6.0, 6.0, (64, 32)) * 10.0 ** rng.integers(-300, 300, (64, 32))
+    t[0, :4] = (0.0, -0.0, 1.0, -1.0)
+    got = transform._powers(t, orders)
+    assert got.tobytes() == (t[..., None] ** np.array(orders)).tobytes()
