@@ -2,22 +2,40 @@
 """In-process A/B of one benchmark workload on two source trees.
 
     python3 scripts/ab_workload.py SRC_A SRC_B --workload axis_tables --rounds 20 --seed 7
+    python3 scripts/ab_workload.py SRC_A SRC_B --workload point_queries --rounds 5 --seed 7 \
+        --interleave call
 
 SRC_A and SRC_B are the roots of two checkouts (each with ``src/supergauss``
 and ``perfbench/workloads.py``).  Both trees' packages are loaded side by
 side in this one process, each with its own import of its own
 ``perfbench/workloads.py`` (read only: no bytecode is written), and each
-builds the workload's seeded job set once.  A round runs one side's whole
-job set once; the two sides alternate which of them goes first, so a
-pair of rounds sees the same host speed.  Every round gets a fresh empty
-POLYA_CACHE_DIR.  One unmeasured warm-up round per side goes first.
+builds the workload's seeded job set once.  Every round gets a fresh empty
+POLYA_CACHE_DIR per side.  One unmeasured warm-up round per side goes first.
 
-Prints each side's round wall-time median and quartiles, the per-pair
-ratios B/A, how many pairs B won, both sides' failure counts (warm-up
-round included) and the per-kind median query latencies; the last line
-is one JSON object with the same numbers.  Separate benchmark processes
-drift with the speed of a shared host; pairs taken in one process resolve
-differences of a few percent on workloads with short rounds.
+``--interleave round`` (the default): a round runs one side's whole job set
+once; the two sides alternate which of them goes first, so a pair of rounds
+sees the same host speed.  Prints each side's round wall-time median and
+quartiles, the per-pair ratios B/A, how many pairs B won, both sides'
+failure counts (warm-up round included) and the per-kind median query
+latencies.
+
+``--interleave call``: the warm-up round records each side's calls (kind,
+function, arguments, check), in order.  A measured round replays them call
+by call: the j-th call of a kind on A is paired with the j-th call of that
+kind on B, the two run back to back, and the side that goes first
+alternates from pair to pair, so each pair sees the same host speed.  Each
+side's paired calls keep their recorded order (so a warm zero table still
+follows the cold one that wrote it); calls without a partner run after the
+pairs of their round and are checked, not compared.  Prints the per-call
+ratios B/A (median, quartiles, how many B won), the ratio of the summed
+latencies per round and per kind, and both sides' failure counts.  Rounds
+of whole job sets spread too widely on ~0.5 s workloads to resolve a few
+percent; per-call pairs do not drift with the host between the two sides
+of a pair.
+
+The last line is one JSON object with the printed numbers.  Separate
+benchmark processes drift with the speed of a shared host; pairs taken in
+one process resolve differences of a few percent.
 """
 
 from __future__ import annotations
@@ -71,14 +89,33 @@ class Side:
         self.client = _kind_client(self.workloads.Client)()
         self.walls: list[float] = []
 
-    def round(self, cache_dir: str, record: bool = True) -> None:
+    def enter(self, cache_dir: str) -> None:
+        """Make this side's package and cache directory the process's."""
         sys.modules.update(self.modules)
         os.environ["POLYA_CACHE_DIR"] = cache_dir
+
+    def round(self, cache_dir: str, record: bool = True) -> None:
+        self.enter(cache_dir)
         t0 = time.perf_counter()
         self.run_round(self.client)
         wall = time.perf_counter() - t0
         if record:
             self.walls.append(wall)
+
+    def record_calls(self, cache_dir: str) -> None:
+        """Run the warm-up round, keeping every call as (kind, fn, args, check)."""
+        self.calls: list[tuple] = []
+        call = self.client.call
+
+        def recording(kind, fn, *args, check=None):
+            self.calls.append((kind, fn, args, check))
+            return call(kind, fn, *args, check=check)
+        self.client.call = recording
+        try:
+            self.round(cache_dir, record=False)
+        finally:
+            del self.client.call
+        self.client.by_kind.clear()
 
 
 def _kind_client(base):
@@ -96,6 +133,65 @@ def _kind_client(base):
     return KindClient
 
 
+def _pairs(a: Side, b: Side):
+    """Index pairs (i, j) of A's and B's recorded calls, the j-th call of a
+    kind on A with the j-th of that kind on B, in A's order, and the
+    indices of each side's calls left without a partner."""
+    seen: dict[str, list[int]] = {}
+    for j, (kind, *_) in enumerate(b.calls):
+        seen.setdefault(kind, []).append(j)
+    taken = {kind: 0 for kind in seen}
+    pairs, lone_a = [], []
+    for i, (kind, *_) in enumerate(a.calls):
+        if taken.get(kind, 0) < len(seen.get(kind, ())):
+            pairs.append((i, seen[kind][taken[kind]]))
+            taken[kind] += 1
+        else:
+            lone_a.append(i)
+    paired_b = {j for _, j in pairs}
+    return pairs, lone_a, [j for j in range(len(b.calls)) if j not in paired_b]
+
+
+def _replay(side: Side, index: int, cache_dir: str) -> float:
+    """One recorded call of ``side``, through its client; returns its latency."""
+    kind, fn, args, check = side.calls[index]
+    side.enter(cache_dir)
+    side.client.call(kind, fn, *args, check=check)
+    return side.client.latencies[-1]
+
+
+def _interleave_calls(sides, rounds: int, fresh) -> dict:
+    a, b = sides
+    pairs, lone_a, lone_b = _pairs(a, b)
+    ratios, sums, kinds = [], [], {}
+    flip = 0
+    for _ in range(rounds):
+        dirs = {a.label: next(fresh), b.label: next(fresh)}
+        total = {a.label: 0.0, b.label: 0.0}
+        for i, j in pairs:
+            order = ((a, i), (b, j)) if flip % 2 == 0 else ((b, j), (a, i))
+            flip += 1
+            lat = {side.label: _replay(side, k, dirs[side.label]) for side, k in order}
+            ratios.append(lat[b.label] / lat[a.label])
+            kind = a.calls[i][0]
+            kinds.setdefault(kind, [0.0, 0.0])
+            kinds[kind][0] += lat[a.label]
+            kinds[kind][1] += lat[b.label]
+            for side in sides:
+                total[side.label] += lat[side.label]
+        for k in lone_a:
+            _replay(a, k, dirs[a.label])
+        for k in lone_b:
+            _replay(b, k, dirs[b.label])
+        sums.append(total[b.label] / total[a.label])
+    return {"pairs_per_round": len(pairs), "unpaired": [len(lone_a), len(lone_b)],
+            "call_ratios_median": statistics.median(ratios),
+            "call_ratios_quartiles": statistics.quantiles(ratios, n=4, method="inclusive")[::2],
+            "wins_b": sum(r < 1.0 for r in ratios), "calls": len(ratios),
+            "round_sum_ratios": sums,
+            "kind_sum_ratios": {kind: v[1] / v[0] for kind, v in kinds.items()}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_a", type=Path)
@@ -103,6 +199,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--rounds", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--interleave", choices=("round", "call"), default="round",
+                        help="alternate whole rounds (default) or single calls")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
@@ -113,6 +211,10 @@ def main(argv=None) -> int:
     try:
         with tempfile.TemporaryDirectory(prefix="ab-workload-") as scratch:
             fresh = (str(Path(scratch) / str(i)) for i in itertools.count())
+            if args.interleave == "call":
+                for side in sides:
+                    side.record_calls(next(fresh))
+                return _report_calls(args, sides, _interleave_calls(sides, args.rounds, fresh))
             for side in sides:
                 side.round(next(fresh), record=False)
                 side.client.by_kind.clear()
@@ -151,6 +253,32 @@ def main(argv=None) -> int:
     qa, qb = (result["sides"][s]["query_median_ms"] for s in ("a", "b"))
     for kind in qa:
         print(f"    {kind:<20} {qa[kind]:9.3f} -> {qb.get(kind, float('nan')):9.3f}")
+    print(json.dumps(result))
+    return 0
+
+
+def _report_calls(args, sides, result: dict) -> int:
+    result.update({"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
+                   "interleave": "call", "a": str(sides[0].root), "b": str(sides[1].root),
+                   "failed": {s.label: s.client.failed for s in sides},
+                   "attempted": {s.label: s.client.attempted for s in sides}})
+    print(f"workload {args.workload}  seed {args.seed}  {args.rounds} rounds of"
+          f" {result['pairs_per_round']} call pairs"
+          f" (unpaired: A {result['unpaired'][0]}, B {result['unpaired'][1]} per round)")
+    for side in sides:
+        print(f"  {side.label.upper()} {side.root}")
+        print(f"    failed {side.client.failed} / {side.client.attempted} attempted")
+        for line in side.client.failures:
+            print(f"    failed: {line}")
+    q1, q3 = result["call_ratios_quartiles"]
+    print(f"  call ratio B/A median {result['call_ratios_median']:.3f}"
+          f"  quartiles {q1:.3f} .. {q3:.3f}; B faster in {result['wins_b']}"
+          f" of {result['calls']} calls")
+    print(f"  summed latency B/A per round: "
+          f"{' '.join(f'{r:.3f}' for r in result['round_sum_ratios'])}")
+    print("  summed latency B/A by kind:")
+    for kind, r in result["kind_sum_ratios"].items():
+        print(f"    {kind:<20} {r:.3f}")
     print(json.dumps(result))
     return 0
 

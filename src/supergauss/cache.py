@@ -3,7 +3,9 @@
 The cache holds one CSV per (n, w_max, tol) key in the zero-table format of
 :mod:`supergauss.zeros` (``HEADER``, :func:`format_zero_cache`,
 :func:`parse_zero_cache`, re-exported here).  A file holds exactly the scan
-its key names, so a cached table is the table a fresh scan would return.
+its key names, and its name carries the scan's ``SCAN_VERSION``, so a
+table written by an earlier scan is never read: a cached table is the
+table a fresh scan would return.
 The cache directory defaults to ~/.cache/supergauss and is overridden by the
 POLYA_CACHE_DIR environment variable.  All writes go through a temp file and
 an atomic rename.
@@ -16,7 +18,14 @@ import tempfile
 from pathlib import Path
 
 from .transform import QuadratureSpec
-from .zeros import HEADER, ZeroRecord, format_zero_cache, parse_zero_cache, scan_real_zeros
+from .zeros import (
+    HEADER,
+    SCAN_VERSION,
+    ZeroRecord,
+    format_zero_cache,
+    parse_zero_cache,
+    scan_real_zeros,
+)
 
 CACHE_ENV = "POLYA_CACHE_DIR"
 
@@ -29,7 +38,7 @@ def cache_dir() -> Path:
 
 
 def zero_cache_path(n: int, w_max: float, tol: float) -> Path:
-    return cache_dir() / f"zeros_n{n}_wmax{float(w_max)!r}_tol{float(tol)!r}.csv"
+    return cache_dir() / f"zeros_v{SCAN_VERSION}_n{n}_wmax{float(w_max)!r}_tol{float(tol)!r}.csv"
 
 
 def atomic_write_text(path: Path, text: str) -> None:

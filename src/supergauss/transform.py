@@ -17,9 +17,9 @@ requested t-moment at every point from one pass over the nodes (exp, cos
 and sin are taken once per node).  :func:`eval_derivatives` is its public
 form: F^(k) for several orders at several points, each (order, point) with
 its own tolerance; :func:`eval_transform` and :func:`eval_derivative` are
-its one-order, one-point case.  Zero scans and Newton refinement call
-:func:`_point_moments` directly: a scan reads the estimates without
-requiring them, and Newton requires F' only at vertices still moving.
+its one-order, one-point case.  Newton refinement calls
+:func:`_point_moments` directly: it requires F' only at vertices still
+moving.
 
 Each rule carries every point-independent table its kernel sums on (for
 the exact kernel the flat nodes and weights, -t^(2n) and the grouped
@@ -27,9 +27,9 @@ powers t^k and |t^k|, :func:`_node_tables`), built once per rule.  The
 fresh rules of :func:`_point_moments` come from one small process-local
 cache (:class:`_RuleCache`) keyed by what fixes a rule: (n, sigma_max,
 orders, T, panel count), with T taken once per request through
-:func:`truncation_radius`.  A zero scan asks for the same rule at most of
-its evaluations, so most of them reuse its tables; a hit returns the very
-arrays a miss would build, so every value is the same to the bit.  Kept
+:func:`truncation_radius`.  A coefficient table asks for the same few rules
+at many w, so most of its evaluations reuse their tables; a hit returns the
+very arrays a miss would build, so every value is the same to the bit.  Kept
 rules are read-only, a refinement builds a new rule instead of splitting a
 kept one, and the cache holds at most 4 rules and 1 MiB of their arrays.
 
@@ -67,10 +67,16 @@ one rule (:class:`_Rule`) and those tables for all its Newton passes.
 The floor, derived in its docstring, is wider, (2p + P + 46 + 6(|sigma|
 + |w|) T + 4 T^(2n)) eps of sum |a t^k| plus the node mismatch it
 measures, at most 4.6e-3 of Newton's tolerance at C9.  Single
-points and the axis scans keep the exact kernel on [-T, T], where a wider
-floor or moved rounding noise would shift the deep zeros; grid values only
-place the raw crossings that Newton then refines.  All paths are
-deterministic for a given input.
+points keep the exact kernel on [-T, T]; grid values only place the raw
+crossings that Newton then refines.
+
+Zero scans use none of these: on the real axis F is a cancellation of O(1)
+terms down to |F| ~ exp(-0.236 w^(4/3)) (n = 2), so :func:`eval_axis`
+integrates on the line through the two upper saddles instead, with the
+trapezoid rule, and returns F as a mantissa of e^s0 with an error estimate
+relative to it.  Single points, grids, Newton, the simplicity check and the
+ODE residuals keep the kernels above, so the simplicity check stays
+independent of the scan.  All paths are deterministic for a given input.
 
 For n = 1 the closed form sqrt(pi) * exp(-z^2/4) is provided as an oracle.
 """
@@ -236,7 +242,14 @@ def moment_scale(n: int, sigma: float, k: int) -> float:
     n = check_kernel_index(n)
     if k == 0:
         return magnitude_scale(n, sigma)
-    s = abs(float(sigma))
+    return _moment_scale(n, abs(float(sigma)), int(k))
+
+
+# A derivative profile asks for the same (n, sigma = 0, k) for every order of
+# every call, while independent queries rarely repeat a sigma.
+@lru_cache(maxsize=128)
+def _moment_scale(n: int, s: float, k: int) -> float:
+    """:func:`moment_scale` of validated arguments, s = |sigma| and k >= 1."""
     # g'(t) = k/t - 2n t^(2n-1) + s is strictly decreasing: bisect its root
     lo, hi = _boundary(lambda t: not (k / t - 2 * n * t ** (2 * n - 1) + s > 0), 1e-9, 1.0)
     t = 0.5 * (lo + hi)
@@ -270,8 +283,8 @@ def truncation_radius(n: int, sigma: float, k: int, tol: float) -> float:
     return _radius(n, abs(float(sigma)), int(k), float(tol))
 
 
-# The last few radii: a zero scan asks for the same (sigma = 0, order, tol)
-# at every evaluation, while independent queries rarely repeat one.
+# The last few radii: a coefficient table asks for the same (sigma = 0,
+# order, tol) at every w, while independent queries rarely repeat one.
 @lru_cache(maxsize=4)
 def _radius(n: int, s: float, k: int, tol: float) -> float:
     """:func:`truncation_radius` of validated arguments, s = |sigma|."""
@@ -672,6 +685,14 @@ def _factored_panel_moments(n: int, sigma: np.ndarray, w: np.ndarray,
     return moments.transpose(0, 2, 1), perr, floor
 
 
+def _per_point(prepare, panels: int, orders: tuple[int, ...]) -> int:
+    """Float64 elements one point takes in the largest arrays of the kernel
+    that sums on ``prepare``'s tables, on ``panels`` panels: (points,
+    nodes) at order 2p for :func:`_panel_moments`, (points, orders, panels)
+    for the factored kernel."""
+    return panels * (2 * _ORDER if prepare is _node_tables else len(orders))
+
+
 def _split_panels(edges: np.ndarray, share: np.ndarray) -> np.ndarray:
     """``edges`` with every panel whose ``share`` of some error sum is at
     least 1/panels split in two, the largest shares first, until _MAX_PANELS
@@ -691,10 +712,9 @@ class _Rule:
     set.  :meth:`split` refines the panel set in place and :meth:`refined`
     returns the refinement as a new rule, leaving this one as it is;
     :meth:`cover` extends the tail bounds to a larger |sigma|, and
-    :meth:`freeze` makes the rule read-only.  ``per_point`` is the number
-    of float64 elements one point takes in the kernel's largest arrays:
-    (points, nodes) for :func:`_panel_moments`, (points, orders, panels)
-    for the factored kernel.
+    :meth:`freeze` makes the rule read-only.  ``per_point`` is the
+    :func:`_per_point` of its kernel and panels.  ``w_max`` and ``tol_min``
+    size the panels when ``edges`` is not given.
     """
 
     def __init__(self, n: int, sigma_max: float, w_max: float, orders: tuple[int, ...],
@@ -720,9 +740,7 @@ class _Rule:
 
     @property
     def per_point(self) -> int:
-        if isinstance(self.tables, _NodeTables):
-            return self.tables.abs_powers.shape[0]
-        return self.panels * len(self.orders)
+        return _per_point(self.prepare, self.panels, self.orders)
 
     def split(self, share: np.ndarray) -> None:
         edges = _split_panels(self.edges, share)
@@ -751,11 +769,11 @@ class _RuleCache:
     A rule is fixed by (prepare, n, sigma_max, orders, T, panel count): its
     edges are the panel count's equal panels on [-T, T], its tail bounds
     follow from n, sigma_max, the orders and T, and its tables from the
-    nodes.  So :meth:`get` takes T once, through :func:`truncation_radius`
-    (with its validation and memo), looks the rule up, and on a miss builds
-    it from that same T: a hit returns the very arrays a miss would have
-    built, and a miss adds only the lookup and :meth:`_Rule.freeze` to the
-    build.  Kept rules are read-only, and a refinement of one is a new rule
+    nodes.  So :meth:`get` takes T and the panel count from the caller's
+    :func:`_rule_size` (through :func:`truncation_radius`, with its
+    validation and memo), looks the rule up, and on a miss builds it from
+    that same T: a hit returns the very arrays a miss would have built, and
+    a miss adds only the lookup and :meth:`_Rule.freeze` to the build.  Kept rules are read-only, and a refinement of one is a new rule
     (:meth:`_Rule.refined`).  At most ``max_rules`` rules and ``max_bytes``
     bytes of rule arrays are kept, the least recently used going first; a
     larger rule is built and not kept.
@@ -766,16 +784,14 @@ class _RuleCache:
         self.rules: OrderedDict = OrderedDict()
         self.nbytes = 0
 
-    def get(self, n: int, sigma_max: float, w_max: float, orders: tuple[int, ...],
-            tol_min: float, prepare) -> _Rule:
-        T, panels = _rule_size(n, sigma_max, w_max, orders, tol_min)
+    def get(self, prepare, n: int, sigma_max: float, orders: tuple[int, ...], T: float,
+            panels: int) -> _Rule:
         key = (prepare, n, sigma_max, orders, T, panels)
         rule = self.rules.get(key)
         if rule is not None:
             self.rules.move_to_end(key)
             return rule
-        rule = _Rule(n, sigma_max, w_max, orders, tol_min, prepare,
-                     np.linspace(-T, T, panels + 1))
+        rule = _Rule(n, sigma_max, None, orders, None, prepare, np.linspace(-T, T, panels + 1))
         rule.freeze()
         if rule.nbytes <= self.max_bytes:
             self.rules[key] = rule
@@ -789,11 +805,9 @@ class _RuleCache:
         self.nbytes = 0
 
 
-# A zero scan asks for the same (sigma = 0, order, tol) rule at most of its
-# evaluations, and a coefficient table for a few rules at many w, each run of
-# repeats back to back: four rules keep every repeat of a perfbench
-# axis_tables round (seeds 1, 2, 3, 11), while independent queries rarely
-# repeat a rule at all.
+# A coefficient table asks for a few rules at many w, each run of repeats
+# back to back (zero scans take no rules: they use :func:`eval_axis`), while
+# independent queries rarely repeat a rule at all.
 _RULES = _RuleCache(max_rules=4, max_bytes=1 << 20)
 
 
@@ -803,8 +817,10 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
 
     ``tol`` broadcasts to (len(orders), len(sigma)).  Points go in chunks of
     about _POINT_CHUNK_ELEMS elements of the kernel's arrays.  Without
-    ``rule``, each chunk takes its own :class:`_Rule` sized for its smallest
-    tolerance, from the rule cache (:class:`_RuleCache`), with the tables of
+    ``rule``, the chunk size comes from the panel count of the whole batch's
+    :func:`_rule_size`, and each chunk takes its own :class:`_Rule` sized
+    for its smallest tolerance (the batch's size when it is one chunk), from
+    the rule cache (:class:`_RuleCache`), with the tables of
     ``panel_sums``; a ``rule`` given (one rule for many calls, prepared for
     ``panel_sums``) serves every chunk, after :meth:`_Rule.cover` extends its
     tail bounds to the batch's largest |sigma|.  While some (order, point)
@@ -825,17 +841,20 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
     fresh = rule is None
     if fresh:
         prepare = _node_tables if panel_sums is _panel_moments else _factored_tables
-        rule = _RULES.get(n, float(np.abs(sigma).max()), float(np.abs(w).max()), orders,
-                          float(tol.min()), prepare)
+        sigma_max = float(np.abs(sigma).max())
+        size = _rule_size(n, sigma_max, float(np.abs(w).max()), orders, float(tol.min()))
+        step = max(1, _POINT_CHUNK_ELEMS // _per_point(prepare, size[1], orders))
     else:
         rule.cover(float(np.abs(sigma).max()))
-    step = max(1, _POINT_CHUNK_ELEMS // rule.per_point)
+        step = max(1, _POINT_CHUNK_ELEMS // rule.per_point)
     for c0 in range(0, sigma.size, step):
         sl = slice(c0, c0 + step)
         s, ws, ts = sigma[sl], w[sl], tol[:, sl]
-        if fresh and step < sigma.size:
-            rule = _RULES.get(n, float(np.abs(s).max()), float(np.abs(ws).max()), orders,
-                              float(ts.min()), prepare)
+        if fresh:
+            if step < sigma.size:
+                sigma_max = float(np.abs(s).max())
+                size = _rule_size(n, sigma_max, float(np.abs(ws).max()), orders, float(ts.min()))
+            rule = _RULES.get(prepare, n, sigma_max, orders, *size)
         while True:
             value, perr, floor = panel_sums(n, s, ws, rule.tables, orders)
             total = perr.sum(axis=2)
@@ -1007,3 +1026,203 @@ def _grid_sums(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray, tol: np.ndarr
             block = (perr / perr.sum(axis=0)).max(axis=1)
             share = block if share is None else np.maximum(share, block)
     return R, I, E, share
+
+
+
+
+# Halvings of the saddle-line kernel's step before its estimate is reported
+# as it stands.
+_AXIS_HALVINGS = 6
+
+
+def _saddle_line(n: int, w: np.ndarray):
+    """(|w|, |w|^(1/(2n-1)), c, s0): the height c = r sin(pi/(4n-2)) of the
+    line through the two upper saddles of -t^(2n) + i|w|t, at radius r =
+    (|w|/2n)^(1/(2n-1)), and the real part s0 = -((2n-1)/2n)|w|c of that
+    exponent there."""
+    aw = np.abs(w)
+    root = aw ** (1.0 / (2 * n - 1))
+    c = (2 * n) ** (-1.0 / (2 * n - 1)) * math.sin(math.pi / (4 * n - 2)) * root
+    return aw, root, c, (-(2 * n - 1) / (2 * n)) * aw * c
+
+
+def _axis_step(n: int, aw: np.ndarray, root: np.ndarray, tol: float) -> np.ndarray:
+    """Trapezoid step h of :func:`eval_axis` at |w| = ``aw``, from the
+    aliasing error (``root`` = aw^(1/(2n-1)), from :func:`_saddle_line`).
+
+    By Poisson summation, the trapezoid sum of exp(-t^(2n) + iwt) with step
+    h on the line Im t = c is sum_k exp(-2 pi k c/h) F(w - 2 pi k/h).  In
+    units of e^s0(w) its error is led by k = -1: exp(E(kappa)) m(w + kappa),
+    with kappa = 2 pi/h, m = F e^-s0 the mantissa, and
+
+        E(kappa) = s0(w + kappa) - s0(w) + kappa c(w)
+                 = -a ((w + kappa)^p - w^p - p w^(p-1) kappa),
+
+    s0(v) = -a v^p, p = 2n/(2n-1), since s0' = -c.  -E/a is convex and
+    increasing in kappa, at most kappa^p (t -> t^(p-1) is subadditive) and
+    at most p(p-1)/2 w^(p-2) kappa^2 ((w + s)^(p-2) decreases in s), so the
+    larger of the kappa that bring those two to L/a lies at or left of the
+    root of -E = L, and one Newton step from it lands at or right of the
+    root (by convexity), at most 17% past it for n <= 6, w <= 1000 and tol
+    1e-6 to 1e-14.  The step is the one whose T_2h, of alias frequency
+    kappa = pi/h, has exp(E) = tol/8, so |T_h - T_2h| is at most about half
+    the target where the estimate holds, and T_h itself is far below it.
+    """
+    p = 2 * n / (2 * n - 1)
+    a = (2 * n - 1) / (2 * n) * (2 * n) ** (-1.0 / (2 * n - 1)) * math.sin(math.pi / (4 * n - 2))
+    lead = math.log(8.0 / tol) / a
+    kappa = np.maximum(lead ** (1.0 / p), math.sqrt(2.0 * lead / (p * (p - 1))) * root ** (n - 1))
+    u = aw + kappa
+    uq = u ** (1.0 / (2 * n - 1))
+    kappa -= (u * uq - aw * root - p * root * kappa - lead) / (p * (uq - root))
+    return math.pi / kappa
+
+
+def _axis_cutoff(n: int, aw: np.ndarray, c: np.ndarray, tol: float) -> np.ndarray:
+    """Cut-off X of :func:`eval_axis` at |w| = ``aw``, past which the
+    integrand is below about tol/64 of e^s0.
+
+    Past x with 2n atan(c/x) = acos(q), the real part of the scaled
+    exponent is at most -q x^(2n) - |w|c/2n, so X is the smallest of the
+    radii, for q = 1/4, 1/2 and 3/4, that clear that angle and make q
+    X^(2n) reach max(1, ln(64/tol) + 2 - |w|c/2n).  Hence at any x >= X,
+    cos(2n atan(c/x)) >= 1/4 and cos(2n atan(c/x)) x^(2n) >= 1, which
+    :func:`_axis_tail` relies on.
+    """
+    q = np.array([[0.25], [0.5], [0.75]])
+    need = np.maximum(math.log(64.0 / tol) + 2.0 - aw * c / (2 * n), 1.0)
+    return np.maximum(c / np.tan(np.arccos(q) / (2 * n)), (need / q) ** (1.0 / (2 * n))).min(axis=0)
+
+
+def _axis_tail(n: int, aw: np.ndarray, c: np.ndarray, X: np.ndarray,
+               orders: tuple[int, ...]) -> np.ndarray:
+    """Bound on the integral over x >= X of |(x + ic)^k g(x)|, for each k
+    in ``orders``, shape (orders, points).
+
+    With theta = atan(c/x) <= theta_X and q = cos(2n theta_X), Re (x +
+    ic)^(2n) = |x + ic|^(2n) cos(2n theta) >= q x^(2n) and |x + ic| <= x /
+    cos(theta_X) for x >= X, so the integrand is below exp(G(x) - |w|c/2n),
+    G = k ln(x / cos theta_X) - q x^(2n).  G is concave, and past the
+    cut-offs of :func:`_axis_cutoff` q >= 1/4 and q X^(2n) >= 1 > k/2n, so
+    G'(X) < 0: the integral is below exp(G(X) - |w|c/2n)/|G'(X)|, and the
+    bound decreases on [X, inf).
+    """
+    theta = np.arctan2(c, X)
+    qx = np.cos(2 * n * theta) * X ** (2 * n)
+    peak = np.exp(-qx - aw * c / (2 * n))
+    slope = 2 * n * qx / X
+    return np.array([peak / slope if k == 0 else peak * X / (np.cos(theta) * (slope - 1.0 / X))
+                     for k in orders])
+
+
+def _axis_sums(n: int, aw: np.ndarray, c: np.ndarray, h: np.ndarray, J: int,
+               orders: tuple[int, ...]):
+    """Trapezoid sums of :func:`eval_axis` on nodes x_j = j h, j = 0..J (J
+    even): the mantissas at steps h and 2h and the rounding floor, each of
+    shape (orders, points).
+
+    The scaled terms are g_k = (x + ic)^k exp(rho + i phi), rho = -Re (x +
+    ic)^(2n) - |w|c/2n, phi = |w| x - Im (x + ic)^(2n), weighted h/2 at x_0
+    and h elsewhere, and the mirror -x adds (-1)^k conj(g_k), so the
+    mantissa is 2 Re S_0 = 2 sum weight e^rho cos phi for k = 0 and -2 Im
+    S_1 = -2 sum weight e^rho (x sin phi + c cos phi) for k = 1 (F' = i M_1).
+    The floor, with u = eps/2, first-order terms, complex products within
+    sqrt(5) u and exp, cos and sin within 4 ulp of the function of their
+    float argument: x_j = fl(j h) moves a term by x |d ln g_k/dx| u <= (2n
+    |t|^(2n) + |w| x + 1) u, t = x + ic; the n complex products of t^(2n)
+    carry 2.3 n u |t|^(2n) into rho + i phi, and the product |w| x and the
+    sums of rho and phi u (1.5 |t|^(2n) + 2 |w| x); s0 and |w|c/2n, rounded
+    apart, disagree by up to 4.5 u |w| c; exp, cos, sin and the products
+    by x, c and the weight add 30 u of |g_k|; a float64 sum of J + 1 terms
+    adds J u of their absolute sum.  So each mantissa is within
+
+        eps sum_j 2 weight_j |g_k(x_j)| ((3n + 1) |t_j|^(2n) + 2 |w| x_j + 3 |w| c + J + 16)
+
+    of the exact sum on the nodes, in units of the computed e^s0.
+    """
+    x = h[:, None] * np.arange(J + 1)
+    t2 = (x + 1j * c[:, None]) ** 2
+    t2n = t2
+    for _ in range(n - 1):
+        t2n = t2n * t2
+    cw = aw * c
+    amp = np.exp(-t2n.real - (cw / (2 * n))[:, None])
+    amp[:, 0] *= 0.5
+    phase = aw[:, None] * x - t2n.imag
+    cos = np.cos(phase)
+    relative = (3 * n + 1) * np.abs(t2n) + 2.0 * aw[:, None] * x + (3.0 * cw + J + 16.0)[:, None]
+    weight = 2.0 * h
+    fine, coarse, floor = (np.empty((len(orders), aw.size)) for _ in range(3))
+    for i, k in enumerate(orders):
+        if k:
+            terms = -amp * (x * np.sin(phase) + c[:, None] * cos)
+            size = amp * np.abs(x + 1j * c[:, None])
+        else:
+            terms, size = amp * cos, amp
+        fine[i] = weight * terms.sum(axis=1)
+        coarse[i] = 2.0 * weight * terms[:, ::2].sum(axis=1)
+        floor[i] = _EPS * weight * (size * relative).sum(axis=1)
+    return fine, coarse, floor
+
+
+def _axis_points(n: int, aw: np.ndarray, c: np.ndarray, h: np.ndarray, X: np.ndarray,
+                 tol: float, orders: tuple[int, ...], halvings: int = _AXIS_HALVINGS):
+    """Mantissas and error estimates of :func:`eval_axis` at steps ``h``:
+    the points whose |T_h - T_2h| exceeds both tol/2 and their floor are
+    taken again at half the step, up to ``halvings`` times."""
+    J = 2 * int(np.ceil(0.5 * (X / h).max()))
+    fine, coarse, floor = _axis_sums(n, aw, c, h, J, orders)
+    diff = np.abs(fine - coarse)
+    err = diff + 6.0 * _axis_tail(n, aw, c, J * h, orders) + floor
+    short = ((diff > 0.5 * tol) & (diff > floor)).any(axis=0)
+    if halvings and short.any():
+        fine[:, short], err[:, short] = _axis_points(n, aw[short], c[short], 0.5 * h[short],
+                                                     X[short], tol, orders, halvings - 1)
+    return fine, err
+
+
+def eval_axis(n: int, w, tol: float, orders: tuple[int, ...] = (0,)):
+    """F^(k)(w) on the real axis, for k in ``orders`` (0 and 1), as mantissas
+    of e^s0: F^(k)(w) = m_k e^s0, with |m_k| of order 1 at every depth.
+
+    The line of integration moves to Im t = c through the two upper saddles
+    of -t^(2n) + iwt (:func:`_saddle_line`; de Bruijn, Duke Math. J. 17
+    (1950) 197-226).  There the integrand scaled by e^-s0 has modulus at
+    most 1 and F is no longer the small difference of O(1) terms it is on
+    the real line.  The integrand is analytic and decays fast along that
+    line, so the trapezoid rule converges geometrically (Trefethen &
+    Weideman, SIAM Rev. 56 (2014) 385-458).  Each point takes its own step
+    (:func:`_axis_step`) and cut-off (:func:`_axis_cutoff`); a block of
+    points shares the largest node count, and the nodes of even index give
+    T_2h as well (:func:`_axis_sums`).  The error estimate of a mantissa is
+    |T_h - T_2h|, plus six times the tail bound beyond the cut-off (the
+    integral's tails and those of the two truncated sums, both sides;
+    :func:`_axis_tail`), plus the rounding floor.  The target is ``tol`` on
+    the mantissa, that is tol e^s0 on F: a point's step halves while its
+    |T_h - T_2h| exceeds both tol/2 and its floor, up to _AXIS_HALVINGS
+    times (:func:`_axis_points`); an estimate that still misses ``tol`` is
+    reported, not raised.
+
+    ``w`` is a scalar or a 1-D array (F is even: m_1 changes sign with w).
+    Returns (m, s0, err), m and err of shape (len(orders), points) and s0
+    of shape (points,).
+    """
+    n = check_kernel_index(n)
+    orders = tuple(orders)
+    if not orders or not set(orders) <= {0, 1}:
+        raise ValueError(f"axis orders must be 0 and/or 1, got {orders}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    w = np.array(w, dtype=float, ndmin=1)
+    aw, root, c, s0 = _saddle_line(n, w)
+    h = _axis_step(n, aw, root, tol)
+    X = _axis_cutoff(n, aw, c, tol)
+    m = np.empty((len(orders), w.size))
+    err = np.empty_like(m)
+    step = max(1, _POINT_CHUNK_ELEMS // int((X / h).max() + 3))
+    for c0 in range(0, w.size, step):
+        sl = slice(c0, c0 + step)
+        m[:, sl], err[:, sl] = _axis_points(n, aw[sl], c[sl], h[sl], X[sl], tol, orders)
+    if 1 in orders:
+        m[orders.index(1)] *= np.sign(w)
+    return m, s0, err

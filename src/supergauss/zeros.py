@@ -1,17 +1,21 @@
 """Real zeros of the transform on the axis sigma = 0.
 
 For n >= 2 the transform has infinitely many simple real zeros.  The scanner
-samples R(0, w) at a fixed number of steps per asymptotic zero spacing
+samples F(w) at a fixed number of steps per asymptotic zero spacing
 (:func:`_default_step`), brackets sign changes, and refines each bracket by
 the Illinois method (:func:`_illinois`).  The derivative at each zero
 certifies simplicity.
 
-A hard limit of double precision: |F| between consecutive zeros decays like
-exp(-c w^(2n/(2n-1))), c = (2n-1) (2n)^(-2n/(2n-1)) sin(pi/(4n-2)) (0.236 at
-n = 2), and falls below the quadrature noise floor near w ~ 46 for n = 2, so
-only the first ~17 zeros are certifiable from float64 evaluation.  An
-oracle-computed extended pool ships with the package for arithmetic that
-needs deeper zero tables (see :func:`extended_zero_pool`).
+Every evaluation of a scan goes through the saddle-line kernel
+:func:`supergauss.transform.eval_axis`, which returns F as a mantissa m of
+e^s0(w), s0 the real part of the exponent at the saddles.  |F| between
+consecutive zeros decays like exp(-c w^(2n/(2n-1))), c = (2n-1)
+(2n)^(-2n/(2n-1)) sin(pi/(4n-2)) (0.236 at n = 2), so on the real line F is a
+cancellation of O(1) terms that float64 cannot resolve past w ~ 46 at n = 2.
+The mantissa is of order 1 at every depth, so signs, brackets and the
+sign-margin test read it and cannot underflow, and F and F' are formed as m
+e^s0 only for the :class:`ZeroRecord`.  :func:`verify_simplicity` and the
+ODE residuals keep the real-line kernel, an independent check of each zero.
 """
 
 from __future__ import annotations
@@ -25,14 +29,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import NotAZeroError, SimplicityIndeterminateError, SuspiciousBracketError
-from .transform import (
-    PlanePoint,
-    QuadratureSpec,
-    check_kernel_index,
-    eval_derivatives,
-    eval_transform,
-    _point_moments,
-)
+from .transform import QuadratureSpec, check_kernel_index, eval_axis, eval_derivatives
 
 # Scan samples per asymptotic zero spacing, and the step cap where that
 # spacing diverges (near w = 0, and at n = 1, which has no zeros).
@@ -64,6 +61,12 @@ class ZeroRecord:
         if self.f_prime == 0.0:
             raise ValueError("derivative at a simple zero cannot be exactly 0")
 
+
+# The version of the scan's tables: it names the runtime cache's files, so a
+# change to the scan that can move a table's bytes must raise it.  Version 2
+# scans on the saddle line (:func:`eval_axis`); version 1 scanned on the
+# real line and wrote files with no version in their names.
+SCAN_VERSION = 2
 
 # Zero tables (the runtime cache and the packaged pool) are CSV files with
 # this header and ascending indices.  Floats are written with repr (shortest
@@ -134,9 +137,12 @@ def _scan_grid(n: int, w_max: float) -> np.ndarray:
     return np.asarray(ws)
 
 
-def _axis_values(n: int, ws: np.ndarray, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    re, _, err = _point_moments(n, np.zeros(ws.size), ws, q.tol, (0,))
-    return re[0], err[0]
+def _axis_values(n: int, ws, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Mantissas F(w) e^-s0(w) at ``ws`` and their error estimates
+    (:func:`eval_axis`): their signs are F's, and their ratios to their
+    estimates are F's ratios to its own, at any depth."""
+    m, _, err = eval_axis(n, ws, q.tol)
+    return m[0], err[0]
 
 
 def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
@@ -180,48 +186,54 @@ def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
 def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec) -> list[ZeroRecord]:
     """Locate every resolvable zero of R(0, w) on (0, w_max], in order.
 
-    Brackets are kept only where both endpoint values clear their error
-    estimates, so the returned list stops where float64 can no longer
-    resolve the sign of the transform.  Each refined zero is re-checked by a
-    local rescan at a 20x finer step; a bracket that splits in two raises
-    :class:`SuspiciousBracketError` after the finer rescan disagrees too.
-    The last bracket may straddle w_max; a zero refined past it is
-    dropped, so the result is exactly the certified zeros in (0, w_max].  A
-    w_max that is not positive and finite raises ValueError.
+    Samples, Illinois steps, the confirming rescans and each record's F and
+    F' come from :func:`eval_axis`, at tolerance q.tol on the mantissa (tol
+    e^s0 on F).  Brackets are kept only where both endpoint mantissas clear
+    their error estimates by _SIGN_MARGIN.  Each refined zero is re-checked
+    by a local rescan at a 20x finer step; a bracket that splits in two
+    raises :class:`SuspiciousBracketError` after the finer rescan disagrees
+    too.  The last bracket may straddle w_max; a zero refined past it is
+    dropped, so the result is exactly the certified zeros in (0, w_max].
+    The list also stops at the first zero whose F' = m e^s0 underflows
+    float64 (near w = 420 at n = 2).  A w_max that is not positive and
+    finite raises ValueError.
     """
     n = check_kernel_index(n)
     if not (w_max > 0 and math.isfinite(w_max)):
         raise ValueError(f"w_max must be positive and finite, got {w_max}")
     ws = _scan_grid(n, w_max)
-    re, err = _axis_values(n, ws, q)
+    m, err = _axis_values(n, ws, q)
 
     # bracket between consecutive sign-reliable samples; samples inside the
     # noise band (for example right next to a zero) are skipped over
-    reliable = np.nonzero(np.abs(re) > _SIGN_MARGIN * err)[0]
+    reliable = np.nonzero(np.abs(m) > _SIGN_MARGIN * err)[0]
     records: list[ZeroRecord] = []
     idx = 1
     for a, b in zip(reliable, reliable[1:]):
-        if (re[a] < 0) == (re[b] < 0):
+        if (m[a] < 0) == (m[b] < 0):
             continue
-        alpha = _illinois(lambda x: eval_transform(n, PlanePoint(x, 0.0), q).re,
-                          float(ws[a]), float(ws[b]), float(re[a]), float(re[b]))
+        alpha = _illinois(lambda x: float(_axis_values(n, x, q)[0][0]),
+                          float(ws[a]), float(ws[b]), float(m[a]), float(m[b]))
         if alpha > w_max:
             break
         _confirm_single_crossing(n, float(ws[a]), float(ws[b]), q)
-        f, _, e = eval_derivatives(n, (0, 1), 0.0, alpha, q)
-        records.append(ZeroRecord(n=n, index=idx, alpha=alpha,
-                                  f_prime=float(f[1, 0]), residual=float(abs(f[0, 0]) + e[0, 0])))
+        f, s0, e = eval_axis(n, alpha, q.tol, (0, 1))
+        scale = math.exp(s0[0])
+        if f[1, 0] * scale == 0.0:
+            break
+        records.append(ZeroRecord(n=n, index=idx, alpha=alpha, f_prime=float(f[1, 0] * scale),
+                                  residual=float((abs(f[0, 0]) + e[0, 0]) * scale)))
         idx += 1
     return records
 
 
 def _confirm_single_crossing(n: int, lo: float, hi: float, q: QuadratureSpec) -> None:
     fine = np.linspace(lo, hi, 21)
-    re, err = _axis_values(n, fine, q)
+    m, err = _axis_values(n, fine, q)
     flips = 0
     for i in range(20):
-        if np.abs(re[i]) > _SIGN_MARGIN * err[i] and np.abs(re[i + 1]) > _SIGN_MARGIN * err[i + 1] \
-                and (re[i] < 0) != (re[i + 1] < 0):
+        if np.abs(m[i]) > _SIGN_MARGIN * err[i] and np.abs(m[i + 1]) > _SIGN_MARGIN * err[i + 1] \
+                and (m[i] < 0) != (m[i + 1] < 0):
             flips += 1
     if flips > 1:
         raise SuspiciousBracketError(
@@ -308,9 +320,12 @@ def zero_pair_partial_sums(w: float, alphas: list[float]) -> list[float]:
 def extended_zero_pool(n: int, count: int) -> list[ZeroRecord]:
     """Oracle-pinned zero table shipped with the package (n = 2 only).
 
-    Zeros beyond ~17 lie below the float64 noise floor of any real-axis
-    quadrature and cannot be re-derived at runtime; they come from the
-    high-precision series oracle in scripts/make_zero_goldens.py.
+    The 44 zeros come from the high-precision series oracle in
+    scripts/make_zero_goldens.py, not from :func:`scan_real_zeros`, so the
+    checks that compare scanned zeros with this pool compare two
+    independent computations.  (Zeros beyond ~17 are below the float64
+    noise floor of real-line quadrature; the saddle-line scan resolves
+    them too.)
     """
     n = check_kernel_index(n)
     if n != 2:

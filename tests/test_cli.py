@@ -17,7 +17,7 @@ from supergauss.cache import (
 from supergauss.cli import build_parser, main
 from supergauss.errors import EmitError
 from supergauss.svgplot import Dataset, emit_svg
-from supergauss.zeros import ZeroRecord
+from supergauss.zeros import SCAN_VERSION, ZeroRecord
 
 
 def run_cli(capsys, *argv):
@@ -261,21 +261,37 @@ def test_fieldline_rows_parse_and_match_points():
         assert (float(sigma), float(w)) == (p.sigma, p.w)
 
 
-@pytest.mark.parametrize("n, wmax", [(2, "28"), (3, "17")])
-def test_zero_table_unchanged_by_radius_memo(capsys, tmp_path, monkeypatch, n, wmax):
-    # the truncation radius is a pure function: remembering it changes no byte
+@pytest.mark.parametrize("n", [2, 3])
+def test_acoeff_table_unchanged_by_memos(capsys, monkeypatch, n):
+    # the truncation radius and the moment scale are pure functions:
+    # remembering them changes no byte
     from supergauss import transform
 
-    argv = ("zeros", "--n", str(n), "--wmax", wmax)
-    monkeypatch.setenv("POLYA_CACHE_DIR", str(tmp_path / "memo"))
-    transform._radius.cache_clear()
+    argv = ("acoeff", "--n", str(n), "--m-range", "0..4", "--w-grid", "0.5:2.5:0.5")
+    memos = ("_radius", "_moment_scale")
+    for name in memos:
+        getattr(transform, name).cache_clear()
     _, with_memo = run_cli(capsys, *argv)
-    assert transform._radius.cache_info().hits > 0
-    monkeypatch.setenv("POLYA_CACHE_DIR", str(tmp_path / "plain"))
-    monkeypatch.setattr(transform, "_radius", transform._radius.__wrapped__)
+    for name in memos:
+        assert getattr(transform, name).cache_info().hits > 0
+        monkeypatch.setattr(transform, name, getattr(transform, name).__wrapped__)
     _, without = run_cli(capsys, *argv)
-    assert len(parse_zero_cache(with_memo)) >= 5
+    assert len(with_memo.splitlines()) == 1 + 5 * 5
     assert with_memo == without
+
+
+def test_zero_table_of_an_earlier_scan_version_is_ignored(tmp_path, monkeypatch):
+    # a table written under a file name without the scan's version (what
+    # the real-line scan wrote) is not read back
+    monkeypatch.setenv("POLYA_CACHE_DIR", str(tmp_path))
+    q = QuadratureSpec(tol=1e-10)
+    stale = [ZeroRecord(n=2, index=1, alpha=3.5, f_prime=-0.36, residual=1e-10)]
+    write_zero_cache(tmp_path / "zeros_n2_wmax8.0_tol1e-10.csv", stale)
+    records = cached_zeros(2, 8.0, q)
+    assert records != stale and len(records) == 2
+    path = zero_cache_path(2, 8.0, 1e-10)
+    assert path.name == f"zeros_v{SCAN_VERSION}_n2_wmax8.0_tol1e-10.csv"
+    assert read_zero_cache(path) == records
 
 
 def test_orbit_csv(capsys, tmp_path):

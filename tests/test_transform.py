@@ -723,3 +723,96 @@ def test_low_order_powers_match_pow_bitwise(orders):
     t[0, :4] = (0.0, -0.0, 1.0, -1.0)
     got = transform._powers(t, orders)
     assert got.tobytes() == (t[..., None] ** np.array(orders)).tobytes()
+
+
+def test_point_batch_builds_only_its_chunk_rules(monkeypatch):
+    # the chunk size comes from the batch's panel count: a batch of two
+    # chunks builds their two rules, and none for the whole batch, whose
+    # largest |sigma| and |w| lie in different chunks
+    sizes, built = [], []
+    real_size, real_rule = transform._rule_size, transform._Rule
+
+    class CountingRule(real_rule):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(transform, "_rule_size", lambda *a: sizes.append(a) or real_size(*a))
+    monkeypatch.setattr(transform, "_Rule", CountingRule)
+    w = np.linspace(0.0, 10.0, 400)
+    sigma = np.linspace(1.0, 0.0, 400)
+    _, panels = real_size(2, 1.0, 10.0, (0,), 1e-10)
+    step = transform._POINT_CHUNK_ELEMS // transform._per_point(transform._node_tables, panels, (0,))
+    assert step < w.size <= 2 * step
+    transform._RULES.clear()
+    transform._point_moments(2, sigma, w, 1e-10, (0,))
+    assert len(built) == 2 and len(sizes) == 3
+    sizes.clear()
+    transform._point_moments(2, np.array([0.5]), np.array([3.0]), 1e-10, (0, 1))
+    assert len(sizes) == 1
+
+
+# ------------------------------------------------------ saddle-line axis kernel
+
+
+@pytest.mark.parametrize("w", [5.0, 20.0, 40.0, 60.0, 78.0])
+def test_axis_kernel_within_its_estimate_of_the_series(w):
+    # n = 2: mantissas of F and F' against f4's series scaled by e^-s0, deep
+    # past where the real-line kernel resolves F at all
+    mpmath = pytest.importorskip("mpmath")
+    m, s0, err = transform.eval_axis(2, w, 1e-12, (0, 1))
+    with mpmath.workdps(60):
+        scale = mpmath.exp(-mpmath.mpf(float(s0[0])))
+        want = [float(v * scale) for v in _load_f4()(w, derivs=1)]
+    for k in (0, 1):
+        assert abs(m[k, 0] - want[k]) <= err[k, 0] <= 1e-12
+
+
+@pytest.mark.parametrize("w", [0.0, 0.5, 3.0, -7.25, 30.0])
+def test_axis_kernel_gaussian_closed_form(w):
+    # n = 1: F = sqrt(pi) e^(-w^2/4), so m_0 = sqrt(pi), s0 = -w^2/4 and
+    # m_1 = -(w/2) sqrt(pi)
+    m, s0, err = transform.eval_axis(1, w, 1e-10, (0, 1))
+    assert s0[0] == -w * w / 4
+    assert abs(m[0, 0] - math.sqrt(math.pi)) <= err[0, 0] <= 1e-10
+    assert abs(m[1, 0] + 0.5 * w * math.sqrt(math.pi)) <= err[1, 0] <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_axis_kernel_agrees_with_exact_kernel(n):
+    w = np.linspace(0.5, 25.0, 60)
+    m, s0, err = transform.eval_axis(n, w, 1e-10, (0, 1))
+    re, _, err_exact = eval_derivatives(n, (0, 1), 0.0, w, Q)
+    scale = np.exp(s0)
+    assert (err <= 1e-10).all()
+    assert (np.abs(m * scale - re) <= err * scale + err_exact).all()
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_axis_kernel_halves_a_step_that_is_too_coarse(monkeypatch, n):
+    # a step of 0.02 aliases at n = 5 and 6; |T_h - T_2h| must see it and
+    # halve the step until the exact kernel's values are met again
+    passes = []
+    real = transform._axis_sums
+
+    def spy(n, aw, c, h, J, orders):
+        passes.append(h.min())
+        return real(n, aw, c, h, J, orders)
+    monkeypatch.setattr(transform, "_axis_sums", spy)
+    monkeypatch.setattr(transform, "_axis_step", lambda n, aw, root, tol: np.full(aw.shape, 0.02))
+    w = np.linspace(0.5, 25.0, 25)
+    m, s0, err = transform.eval_axis(n, w, 1e-10, (0, 1))
+    re, _, err_exact = eval_derivatives(n, (0, 1), 0.0, w, Q)
+    assert len(passes) > 1 and min(passes) < 0.02
+    assert (err <= 1e-10).all()
+    assert (np.abs(m * np.exp(s0) - re) <= err * np.exp(s0) + err_exact).all()
+
+
+def test_axis_kernel_rejects_bad_arguments():
+    for orders in [(), (2,), (0, 3)]:
+        with pytest.raises(ValueError):
+            transform.eval_axis(2, 1.0, 1e-10, orders)
+    for tol in [0.0, -1.0, math.inf, math.nan]:
+        with pytest.raises(ValueError):
+            transform.eval_axis(2, 1.0, tol)
+    with pytest.raises(ValueError):
+        transform.eval_axis(7, 1.0, 1e-10)

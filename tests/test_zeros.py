@@ -142,11 +142,27 @@ def test_wrong_kernel_rejected(scanned_zeros_n2):
         verify_simplicity(3, scanned_zeros_n2[0], Q)
 
 
-def test_deep_zeros_need_the_oracle_pool():
-    # float64 cannot resolve the sign beyond ~alpha_17; the scan stops honestly
-    recs = scan_real_zeros(2, 50.0, QuadratureSpec(tol=1e-12))
-    assert 17 <= len(recs) <= 20
-    assert len(scan_real_zeros(2, 60.0, QuadratureSpec(tol=1e-12))) == 17
+def test_scan_reaches_every_golden_zero(golden_zeros):
+    # on the saddle line the sign of F stays resolvable at any depth: every
+    # one of the 44 oracle zeros, out to w ~ 78.4, is scanned within 1e-12
+    recs = scan_real_zeros(2, 80.0, QuadratureSpec(tol=1e-12))
+    assert len(recs) >= len(golden_zeros) == 44
+    for rec, (idx, alpha, fp) in zip(recs, golden_zeros):
+        assert rec.index == idx
+        assert abs(rec.alpha - alpha) <= 1e-12
+        assert rec.f_prime == pytest.approx(fp, rel=1e-9)
+
+
+def test_scan_stops_where_f_prime_underflows(monkeypatch):
+    # a zero whose F' = m e^s0 is 0 in float64 cannot be recorded: the
+    # table ends before it
+    real = zeros.eval_axis
+
+    def deep(n, w, tol, orders=(0,)):
+        m, s0, err = real(n, w, tol, orders)
+        return m, s0 - (800.0 if orders == (0, 1) else 0.0), err
+    monkeypatch.setattr(zeros, "eval_axis", deep)
+    assert scan_real_zeros(2, 8.0, Q) == []
 
 
 def test_extended_pool_agrees_with_scan(scanned_zeros_n2, zero_pool_40):
