@@ -28,7 +28,10 @@ side's paired calls keep their recorded order (so a warm zero table still
 follows the cold one that wrote it); calls without a partner run after the
 pairs of their round and are checked, not compared.  Prints the per-call
 ratios B/A (median, quartiles, how many B won), the ratio of the summed
-latencies per round and per kind, and both sides' failure counts.  Rounds
+latencies per round and per kind, and both sides' failure counts.  For
+``nodal_lines`` it also prints, for each paired window of the first
+measured round, both sides' line and vertex counts per family and audit-hit
+counts, and the largest |delta vertex| between their refined lines.  Rounds
 of whole job sets spread too widely on ~0.5 s workloads to resolve a few
 percent; per-call pairs do not drift with the host between the two sides
 of a pair.
@@ -152,26 +155,58 @@ def _pairs(a: Side, b: Side):
     return pairs, lone_a, [j for j in range(len(b.calls)) if j not in paired_b]
 
 
-def _replay(side: Side, index: int, cache_dir: str) -> float:
-    """One recorded call of ``side``, through its client; returns its latency."""
+def _replay(side: Side, index: int, cache_dir: str):
+    """One recorded call of ``side``, through its client; returns its
+    latency and its output (None if it raised)."""
     kind, fn, args, check = side.calls[index]
     side.enter(cache_dir)
-    side.client.call(kind, fn, *args, check=check)
-    return side.client.latencies[-1]
+    out = side.client.call(kind, fn, *args, check=check)
+    return side.client.latencies[-1], out
 
 
-def _interleave_calls(sides, rounds: int, fresh) -> dict:
+def _window_geometry(out_a, out_b) -> dict | None:
+    """Both sides' line and vertex counts per family, audit-hit counts and
+    the largest |delta vertex| (max norm) between their refined lines, for
+    one nodal_lines window, whose output is (grid, [(lines, refined) of R,
+    of I], audit hits).  The largest delta is None unless every refined
+    line has the same vertex count on both sides; the row is None if a side
+    failed."""
+    if out_a is None or out_b is None:
+        return None
+    row = {"lines": {}, "vertices": {}, "hits": [len(out_a[2]), len(out_b[2])]}
+    delta = 0.0
+    for which, (_, ra), (_, rb) in zip("RI", out_a[1], out_b[1]):
+        row["lines"][which] = [len(ra), len(rb)]
+        row["vertices"][which] = [sum(len(line.vertices) for line in r) for r in (ra, rb)]
+        pairs = list(zip(ra, rb))
+        if delta is not None and len(ra) == len(rb) and all(
+                la.vertices.shape == lb.vertices.shape for la, lb in pairs):
+            delta = max([delta] + [float(np.abs(la.vertices - lb.vertices).max())
+                                   for la, lb in pairs])
+        else:
+            delta = None
+    row["max_dvertex"] = delta
+    return row
+
+
+def _interleave_calls(sides, rounds: int, fresh, compare=None) -> dict:
+    """Call pairs of ``rounds`` rounds; ``compare(out_a, out_b)``, if given,
+    is taken on each pair of the first round."""
     a, b = sides
     pairs, lone_a, lone_b = _pairs(a, b)
-    ratios, sums, kinds = [], [], {}
+    ratios, sums, kinds, compared = [], [], {}, []
     flip = 0
-    for _ in range(rounds):
+    for round_index in range(rounds):
         dirs = {a.label: next(fresh), b.label: next(fresh)}
         total = {a.label: 0.0, b.label: 0.0}
         for i, j in pairs:
             order = ((a, i), (b, j)) if flip % 2 == 0 else ((b, j), (a, i))
             flip += 1
-            lat = {side.label: _replay(side, k, dirs[side.label]) for side, k in order}
+            lat, out = {}, {}
+            for side, k in order:
+                lat[side.label], out[side.label] = _replay(side, k, dirs[side.label])
+            if compare is not None and round_index == 0:
+                compared.append(compare(out[a.label], out[b.label]))
             ratios.append(lat[b.label] / lat[a.label])
             kind = a.calls[i][0]
             kinds.setdefault(kind, [0.0, 0.0])
@@ -184,12 +219,15 @@ def _interleave_calls(sides, rounds: int, fresh) -> dict:
         for k in lone_b:
             _replay(b, k, dirs[b.label])
         sums.append(total[b.label] / total[a.label])
-    return {"pairs_per_round": len(pairs), "unpaired": [len(lone_a), len(lone_b)],
-            "call_ratios_median": statistics.median(ratios),
-            "call_ratios_quartiles": statistics.quantiles(ratios, n=4, method="inclusive")[::2],
-            "wins_b": sum(r < 1.0 for r in ratios), "calls": len(ratios),
-            "round_sum_ratios": sums,
-            "kind_sum_ratios": {kind: v[1] / v[0] for kind, v in kinds.items()}}
+    result = {"pairs_per_round": len(pairs), "unpaired": [len(lone_a), len(lone_b)],
+              "call_ratios_median": statistics.median(ratios),
+              "call_ratios_quartiles": statistics.quantiles(ratios, n=4, method="inclusive")[::2],
+              "wins_b": sum(r < 1.0 for r in ratios), "calls": len(ratios),
+              "round_sum_ratios": sums,
+              "kind_sum_ratios": {kind: v[1] / v[0] for kind, v in kinds.items()}}
+    if compare is not None:
+        result["geometry"] = compared
+    return result
 
 
 def main(argv=None) -> int:
@@ -214,7 +252,9 @@ def main(argv=None) -> int:
             if args.interleave == "call":
                 for side in sides:
                     side.record_calls(next(fresh))
-                return _report_calls(args, sides, _interleave_calls(sides, args.rounds, fresh))
+                compare = _window_geometry if args.workload == "nodal_lines" else None
+                return _report_calls(args, sides,
+                                     _interleave_calls(sides, args.rounds, fresh, compare))
             for side in sides:
                 side.round(next(fresh), record=False)
                 side.client.by_kind.clear()
@@ -279,6 +319,18 @@ def _report_calls(args, sides, result: dict) -> int:
     print("  summed latency B/A by kind:")
     for kind, r in result["kind_sum_ratios"].items():
         print(f"    {kind:<20} {r:.3f}")
+    if "geometry" in result:
+        print("  geometry of each paired window (A / B):")
+        for k, row in enumerate(result["geometry"]):
+            if row is None:
+                print(f"    window {k}: a side failed")
+                continue
+            counts = "  ".join(f"{w} lines {row['lines'][w][0]}/{row['lines'][w][1]}"
+                               f" vertices {row['vertices'][w][0]}/{row['vertices'][w][1]}"
+                               for w in "RI")
+            delta = row["max_dvertex"]
+            print(f"    window {k}: {counts}  audit hits {row['hits'][0]}/{row['hits'][1]}"
+                  f"  max |dvertex| {'n/a' if delta is None else f'{delta:.2e}'}")
     print(json.dumps(result))
     return 0
 

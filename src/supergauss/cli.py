@@ -16,6 +16,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,20 +52,26 @@ def _write_out(path: str | None, text: str) -> None:
         atomic_write_text(Path(path), text)
 
 
+# --window and --w-grid are parsed by their commands, not by argparse, so a
+# rejected value is reported like any other rejected input: one "argument
+# error" line and exit code 2.
+
 def _parse_range(spec: str, what: str) -> tuple[float, float]:
     parts = spec.split(":")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"{what} must look like LO:HI, got {spec!r}")
+        raise ValueError(f"{what} must look like LO:HI, got {spec!r}")
     lo, hi = float(parts[0]), float(parts[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{what} must be finite, got {spec!r}")
     if hi <= lo:
-        raise argparse.ArgumentTypeError(f"{what} must be ascending, got {spec!r}")
+        raise ValueError(f"{what} must be ascending, got {spec!r}")
     return lo, hi
 
 
 def _parse_window(spec: str) -> tuple[tuple[float, float], tuple[float, float]]:
     parts = spec.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"window must look like S0:S1,W0:W1, got {spec!r}")
+        raise ValueError(f"window must look like S0:S1,W0:W1, got {spec!r}")
     return _parse_range(parts[0], "sigma range"), _parse_range(parts[1], "w range")
 
 
@@ -78,10 +85,12 @@ def _parse_resolution(spec: str) -> tuple[int, int]:
 def _parse_grid(spec: str) -> list[float]:
     parts = spec.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"grid must look like LO:HI:STEP, got {spec!r}")
+        raise ValueError(f"grid must look like LO:HI:STEP, got {spec!r}")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"grid bounds and step must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad grid {spec!r}")
+        raise ValueError(f"bad grid {spec!r}")
     out = []
     k = 0
     while lo + k * step <= hi + 1e-12 * step:
@@ -144,14 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m-range", type=_parse_m_range, required=True, metavar="A..B")
-    p.add_argument("--w-grid", type=_parse_grid, required=True, metavar="LO:HI:STEP")
+    p.add_argument("--w-grid", required=True, metavar="LO:HI:STEP")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("fieldlines", help="extract and refine nodal lines")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--which", choices=[R_LINE, I_LINE, "both"], default="both")
-    p.add_argument("--window", type=_parse_window, required=True, metavar="S0:S1,W0:W1")
+    p.add_argument("--window", required=True, metavar="S0:S1,W0:W1")
     p.add_argument("--resolution", type=_parse_resolution, default=(400, 600), metavar="NSxNW")
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None, help="also render an SVG to this path")
@@ -209,7 +218,7 @@ def _cmd_acoeff(args) -> int:
     q = QuadratureSpec(tol=args.tol)
     buf = io.StringIO()
     buf.write("n,m,w,value,method,err\n")
-    for w in args.w_grid:
+    for w in _parse_grid(args.w_grid):
         for s in a_coeff(args.n, args.m_range, w, q):
             buf.write(f"{s.n},{s.m},{s.w!r},{s.value!r},{s.method},{s.err_estimate!r}\n")
     _write_out(args.out, buf.getvalue())
@@ -225,7 +234,7 @@ def _fieldline_rows(lines, start_id):
 
 
 def _cmd_fieldlines(args) -> int:
-    (s0, s1), (w0, w1) = args.window
+    (s0, s1), (w0, w1) = _parse_window(args.window)
     q = QuadratureSpec(tol=args.tol)
     grid = sample_field_grid(args.n, (s0, s1), (w0, w1), args.resolution, q)
     whichs = [R_LINE, I_LINE] if args.which == "both" else [args.which]
@@ -295,15 +304,15 @@ def _cmd_figures(args) -> int:
     ns.which = "both"
     ns.asymptotes = args.fig == 8
     if args.fig == 2:
-        ns.window = ((0.5, 6.0), (0.0, 6.0))
+        ns.window = "0.5:6,0:6"
         ns.resolution = (220, 260)
     elif args.fig in (8, 9):
-        ns.window = ((0.0, 30.0), (0.0, 8.0))
+        ns.window = "0:30,0:8"
         ns.resolution = (400, 600)
         if args.fig == 8:
             ns.which = R_LINE
     else:  # fig 10: perpendicular crossings near the axis
-        ns.window = ((0.0, 2.0), (0.0, 13.0))
+        ns.window = "0:2,0:13"
         ns.resolution = (160, 420)
         ns.which = R_LINE
     ns.out = str(outdir / f"fig{args.fig}_lines.csv")

@@ -261,16 +261,3 @@ def monotonicity_profile(n: int, w: float, sigma_grid: list[float], q: Quadratur
     samples = list(zip(grid, vals))
     monotone = all(b - a >= -MONOTONE_SLACK for a, b in zip(vals, vals[1:]))
     return samples, monotone
-
-
-def p_r_factor_identity_gap(w: float, sigma: float, alpha: float) -> float:
-    """|expanded - factored| for the per-zero factor of |product|^2.
-
-    1 - 2(w^2-sigma^2)/a^2 + (w^2+sigma^2)^2/a^4 equals
-    (1 - (w^2+sigma^2)/a^2)^2 + 4 sigma^2/a^2 algebraically; the gap is
-    rounding only and is used as a property test.
-    """
-    a2 = alpha * alpha
-    lhs = 1.0 - 2.0 * (w * w - sigma * sigma) / a2 + (w * w + sigma * sigma) ** 2 / (a2 * a2)
-    rhs = (1.0 - (w * w + sigma * sigma) / a2) ** 2 + 4.0 * sigma * sigma / a2
-    return abs(lhs - rhs)

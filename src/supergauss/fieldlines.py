@@ -140,6 +140,8 @@ def sample_field_grid(n: int, sigma_range: tuple[float, float],
     ns, nw = resolution
     if ns < 2 or nw < 2:
         raise ValueError(f"resolution must be at least 2x2, got {resolution}")
+    if not np.isfinite([*sigma_range, *w_range]).all():
+        raise ValueError(f"window must be finite, got {sigma_range} x {w_range}")
     sigma_axis = np.linspace(sigma_range[0], sigma_range[1], ns)
     w_axis = np.linspace(w_range[0], w_range[1], nw)
     re, im, err = eval_transform_grid(n, sigma_axis, w_axis, q)

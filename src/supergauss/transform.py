@@ -43,17 +43,22 @@ double eps) * sum |a|(|cos| + |sin|), therefore barely grows with the
 node count where long double is wider than float64, and is still a valid
 bound where it is not.
 
-Grids (:func:`eval_transform_grid`) fold the even kernel onto [0, T]:
+Grids (:func:`eval_transform_grid`) take the trapezoid rule on the nodes
+t_j = j h, j = 0..2M-1, one node set for every row and column, and fold the
+even kernel onto t >= 0:
 
-    F = sum over t > 0 of g [(ep + em) cos(wt) + i (ep - em) sin(wt)],
+    F = sum over t_j >= 0 of g_j [(ep + em) cos(wt) + i (ep - em) sin(wt)],
     ep, em = exp(-t^(2n) +- sigma t),
 
-so half the nodes give two real batched matrix products with the cos and
-sin tables, summed in BLAS order, and Im F is exactly 0 at sigma = 0.  A
-panel's error is |dR| + |dI|, and the floor (:func:`_grid_floor`) covers
-the rounding of ep +- em and the BLAS and panel sums.  A grid whose points
-miss their tolerance on panel errors splits panels as :func:`_point_moments`
-does (:func:`_split_panels`) and is summed again.
+with weights h (h/2 at t_0).  A block of rows takes two real batched matrix
+products with the cos and sin tables, each split into the even and the odd
+nodes, summed in BLAS order: T_h is their sum and T_2h twice the even part,
+and Im F is exactly 0 at sigma = 0.  The step comes in closed form from the
+aliasing error at the grid's largest |sigma| and |w| (:func:`_grid_step`),
+the error estimate is |dR| + |dI| of T_h - T_2h plus the tail and the
+floor (:func:`_grid_floor`, the rounding of ep +- em and of the BLAS and
+parity sums), and a grid whose points miss their tolerance with |T_h -
+T_2h| above half of it is summed again at half the step.
 
 Newton refinement sums its panels with :func:`_factored_panel_moments`
 instead: on the same refinement loop, each panel's phase e^{iz c_p} is
@@ -74,9 +79,9 @@ Zero scans use none of these: on the real axis F is a cancellation of O(1)
 terms down to |F| ~ exp(-0.236 w^(4/3)) (n = 2), so :func:`eval_axis`
 integrates on the line through the two upper saddles instead, with the
 trapezoid rule, and returns F as a mantissa of e^s0 with an error estimate
-relative to it.  Single points, grids, Newton, the simplicity check and the
-ODE residuals keep the kernels above, so the simplicity check stays
-independent of the scan.  All paths are deterministic for a given input.
+relative to it.  Single points, Newton, the simplicity check and the ODE
+residuals keep the Gauss-Legendre kernels above, so the simplicity check
+stays independent of the scan.  All paths are deterministic for a given input.
 
 For n = 1 the closed form sqrt(pi) * exp(-z^2/4) is provided as an oracle.
 """
@@ -401,8 +406,8 @@ def closed_form_gaussian(p: PlanePoint) -> EvalResult:
 
 
 # Shared-node batches: the float64 elements of one (points, nodes) array of
-# the scattered-point path, and of one (panels, rows, len(w_axis)) product
-# buffer in the grid (four of them: cos and sin at orders p and 2p).
+# the scattered-point path, and of one (parities, rows, len(w_axis)) product
+# in the grid (two of them: cos and sin).
 _POINT_CHUNK_ELEMS = 1 << 17
 _GRID_CHUNK_ELEMS = 1 << 20
 
@@ -433,10 +438,10 @@ def _shared_rule(n: int, sigma_max: float, w_max: float, orders: tuple[int, ...]
     """One panel set on [-T, T] shared by every point of a batch.
 
     The panels are the :func:`_rule_size` ones, equal panels on [-T, T];
-    ``edges``, if given, replaces them (a refinement of them, or a grid's
-    half line).  Returns the edges, the tail bound at T for each moment
-    order (each also bounds every smaller |sigma|) and, for orders p and
-    2p, the nodes and weights, both of shape (panels, order).
+    ``edges``, if given, replaces them (a refinement of them).  Returns the
+    edges, the tail bound at T for each moment order (each also bounds
+    every smaller |sigma|) and, for orders p and 2p, the nodes and weights,
+    both of shape (panels, order).
     """
     if edges is None:
         T, panels = _rule_size(n, sigma_max, w_max, orders, tol_min)
@@ -871,24 +876,73 @@ def _point_moments(n: int, sigma: np.ndarray, w: np.ndarray, tol,
     return out[0], out[1], out[2]
 
 
-def _half_line_rule(n: int, sigma_max: float, w_max: float, tol_min: float):
-    """The rule of a grid: :func:`_shared_rule` on [0, T] instead of [-T, T].
+# Halvings of the grid's trapezoid step before its estimates are reported
+# as they stand.
+_GRID_HALVINGS = 6
 
-    T is the truncation radius :func:`_shared_rule` would take, and [0, T]
-    gets half its panel count, rounded up, so the panels are at least as
-    fine.  Returns what :func:`_shared_rule` returns, for the order 0.
+
+def _grid_step(n: int, sigma_max: float, w_max: float, tol: float) -> float:
+    """Trapezoid step h of :func:`eval_transform_grid`, from the aliasing
+    error at the grid's largest |sigma| and |w|; ``tol`` is relative to
+    each row's :func:`magnitude_scale`.
+
+    By Poisson summation, the trapezoid sum with step h of exp(-t^(2n) +
+    sigma t + iwt) over the whole line is sum_k F(w - 2 pi k/h - i sigma):
+    its error is the transform at the alias frequencies.  At the saddle
+    point of -t^(2n) + izt, |F(v - i sigma)| is about exp(A Re (sigma +
+    i|v|)^p), p = 2n/(2n-1), A = (2n-1)(2n)^-p, which is the row's scale
+    e^peak at v = 0 (:func:`peak_exponent`).  In units of that scale the
+    alias at v is exp(-G), G = A (sigma^p - Re (sigma + iv)^p).  With r
+    and theta the modulus and argument of sigma + iv:
+
+    - G is convex and increasing in v > 0: G(sigma, 0) = dG/dv(sigma, 0) =
+      0 and d2G/dv2 = A p(p-1) r^(p-2) cos((2-p) theta) > 0, as (2-p)
+      theta < pi/2;
+    - G decreases in sigma: dG/dsigma = A p r^(p-1) (cos^(p-1) theta -
+      cos((p-1) theta)) <= 0, as cos((p-1) theta) >= cos^(p-1) theta for
+      0 < p - 1 <= 1 and theta in [0, pi/2].
+
+    So the row of largest |sigma| and the column of largest |w|, with alias
+    frequency v = kappa - |w| nearest to it, are the worst point.  G <=
+    G(0, v) = a v^p, a = A sin(pi/(4n-2)) (that of :func:`_axis_step`),
+    and G <= A p(p-1)/2 sigma^(p-2) v^2, since |Re (sigma + iv)^(p-2)| <=
+    sigma^(p-2); the larger of the v that bring those two to L = ln(8/tol)
+    lies at or left of the root of G = L, and one Newton step from it lands
+    at or right of the root (by convexity), at most 2% past it for n <= 6,
+    |sigma| <= 100 and tol 1e-6 to 1e-14.  The step is the one whose
+    T_2h, of alias frequency kappa = pi/h = v + w_max, has exp(-G) = tol/8,
+    so |T_h - T_2h| is at most about half the target where the saddle
+    estimate holds, and T_h itself is far below it.
     """
-    _guard_overflow(n, sigma_max)
-    T = truncation_radius(n, sigma_max, 0, 0.5 * tol_min)
-    panels = -(-_panel_count(T, w_max, sigma_max) // 2)
-    return _shared_rule(n, sigma_max, w_max, (0,), tol_min, np.linspace(0.0, T, panels + 1))
+    p = 2 * n / (2 * n - 1)
+    amp = (2 * n - 1) * (2 * n) ** -p
+    lead = math.log(8.0 / tol)
+    s = abs(float(sigma_max))
+    v = max((lead / (amp * math.sin(math.pi / (4 * n - 2)))) ** (1.0 / p),
+            math.sqrt(2.0 * lead / (amp * p * (p - 1))) * s ** (1.0 - 0.5 * p))
+    z = complex(s, v)
+    v -= (amp * (s ** p - (z ** p).real) - lead) / (amp * p * (z ** (p - 1)).imag)
+    return math.pi / (v + abs(float(w_max)))
 
 
-def _folded_amplitudes(n: int, sigma: np.ndarray, rule):
+def _grid_nodes(h: float, X: float):
+    """Trapezoid nodes t_j = j h, j = 0..2M-1, and their weights (h, and h/2
+    at t_0), as (t, g) of shape (2, M): the even nodes in row 0, the odd
+    ones in row 1.  M is the smallest count whose last even node (2M-2) h
+    reaches X, so the step-2h sum on the even nodes is cut off at or past X
+    as well."""
+    half = max(1, int(math.ceil(0.5 * X / h)))
+    t = h * np.arange(2 * half + 2).reshape(-1, 2).T
+    g = np.full(t.shape, h)
+    g[0, 0] = 0.5 * h
+    return t, g
+
+
+def _folded_amplitudes(n: int, sigma: np.ndarray, nodes):
     """(a_c, a_s) = (g (ep + em), g (ep - em)), ep, em = exp(-t^(2n) +- sigma t),
-    at the nodes t and weights g of a half-line rule, each of shape (panels,
-    len(sigma), order)."""
-    t, g = rule
+    at the nodes t and weights g of :func:`_grid_nodes`, each of shape
+    (parities, len(sigma), M)."""
+    t, g = nodes
     t2n = (t ** (2 * n))[:, None, :]
     st = sigma[:, None] * t[:, None, :]
     ep, em = np.exp(st - t2n), np.exp(-st - t2n)
@@ -900,11 +954,10 @@ def _grid_floor(n: int, sigma: np.ndarray, w_max: float, t: np.ndarray,
                 a_c: np.ndarray) -> np.ndarray:
     """Rounding floor of the folded grid sums at each sigma, for |w| <= w_max.
 
-    ``t`` holds the order-2p nodes of a half-line rule, shape (P, m), and
+    ``t`` holds the N = 2M nodes of :func:`_grid_nodes`, shape (2, M), and
     ``a_c`` their :func:`_folded_amplitudes`.  With u = eps/2, first-order
-    terms, the rule's floats t and g taken as exact, and pow, exp, cos and
-    sin each within 4 ulp (8u) of the exact function of their float
-    argument:
+    terms, the floats t and g taken as exact, and pow, exp, cos and sin each
+    within 4 ulp (8u) of the exact function of their float argument:
 
     - the arguments -t^(2n) +- sigma t carry 8u t^(2n) from the power,
       u |sigma| t from the product and u (t^(2n) + |sigma| t) from the
@@ -918,21 +971,20 @@ def _grid_floor(n: int, sigma: np.ndarray, w_max: float, t: np.ndarray,
     - the phase wt carries u |w| t, so cos and sin carry u |w| t + 8u
       absolute, and each product a_c cos, a_s sin, rounded once more, is
       within u (9 t^(2n) + (2 |sigma| + |w|) t + 19) a_c of its exact value;
-    - a panel's m-term dot product in any order (BLAS; a fused multiply-add
-      only drops roundings) adds (m - 1) u of its sum of |terms| <= a_c,
-      and the float64 sum over the P panels of [0, T], half the panels of
-      [-T, T], adds (P - 1) u of the same sum.
+    - the M-term dot product of each parity in any order (BLAS; a fused
+      multiply-add only drops roundings) adds (M - 1) u of its sum of
+      |terms| <= a_c, and the sum of the two parities u of the whole, so
+      M u <= (N - 2) u in all.
 
     Adding the real and imaginary parts, |dR| + |dI| (which bounds the
     modulus of the error) is at most
 
-        eps * sum_j a_c,j (9 t_j^(2n) + (2 |sigma| + w_max) t_j + m + P + 17),
+        eps * sum_j a_c,j (9 t_j^(2n) + (2 |sigma| + w_max) t_j + N + 17),
 
     a sum over nodes that needs no product with the phases.  Amplitudes
     that underflow to subnormals add at most 2^-1074 each, far below it.
     """
-    panels, m = t.shape
-    weights = np.stack([9.0 * t ** (2 * n) + (m + panels + 17), t], axis=-1)   # (P, m, 2)
+    weights = np.stack([9.0 * t ** (2 * n) + (t.size + 17), t], axis=-1)   # (2, M, 2)
     s0, s1 = np.tensordot(a_c, weights, axes=([0, 2], [0, 1])).T
     return _EPS * (s0 + (2.0 * np.abs(sigma) + w_max) * s1)
 
@@ -941,25 +993,33 @@ def eval_transform_grid(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray,
                         q: QuadratureSpec):
     """Vectorized transform evaluation on a (sigma, w) grid.
 
-    The kernel is even, so on the nodes t > 0 of one half-line rule
-    (:func:`_half_line_rule`, sized for the whole grid)
+    The integrand is entire and decays faster than any exponential, so the
+    trapezoid rule converges geometrically (Trefethen & Weideman, SIAM Rev.
+    56 (2014) 385-458, section 5).  The kernel is even, so on the nodes t_j
+    = j h >= 0 of :func:`_grid_nodes`, one set for every row and column,
 
-        F = sum g [(ep + em) cos(wt) + i (ep - em) sin(wt)],
-        ep, em = exp(-t^(2n) +- sigma t),
+        T_h = sum_j g_j [(ep + em) cos(w t_j) + i (ep - em) sin(w t_j)],
+        ep, em = exp(-t_j^(2n) +- sigma t_j),
 
-    and the per-panel sums of a block of rows are two batched real matrix
-    products, a_c(rows x nodes) @ cos(nodes x w) and a_s @ sin, one per
-    panel (:func:`_grid_sums`).  A panel's error is |dR| + |dI| between
-    orders p and 2p, within sqrt(2) of their modulus; the estimate adds the
-    tail bound at T and the floor of :func:`_grid_floor`.  Returns (re, im,
-    err) arrays of shape (len(sigma_axis), len(w_axis)); im is exactly 0 on a
-    sigma = 0 row.  Per-row tolerances are q.tol scaled by the row's
-    magnitude scale.  While some point misses its tolerance with panel
-    errors above half of it, and fewer than _MAX_PANELS panels are in use,
-    the panels holding at least their share of such a point's panel errors
-    are split, as in :func:`_point_moments`, and the grid is summed again.
-    Points that still miss (their floor is above the tolerance, or the panel
-    cap is reached) report honest error estimates rather than raising.
+    with weights g_j = h (h/2 at t_0).  A block of rows takes two real
+    batched matrix products, a_c(rows x nodes) @ cos(nodes x w) and a_s @
+    sin, each split into the even and the odd nodes (:func:`_grid_sums`):
+    T_h is their sum and T_2h twice the even part, from the flops of one
+    product.  The error estimate is |dR| + |dI| of T_h - T_2h (the odd part
+    minus the even part), within sqrt(2) of its modulus, plus three times
+    the tail bound at the last even node (the integral's tail and those of
+    the two truncated sums), plus the floor of :func:`_grid_floor`.  Returns
+    (re, im, err) arrays of shape (len(sigma_axis), len(w_axis)); im is
+    exactly 0 on a sigma = 0 row.  Per-row tolerances are q.tol scaled by
+    the row's magnitude scale.
+
+    The step comes from the aliasing error at the grid's largest |sigma|
+    and |w| (:func:`_grid_step`) and the cut-off is the truncation radius at
+    the largest |sigma| and an eighth of the smallest tolerance.  While some
+    point misses its tolerance with |T_h - T_2h| above half of it, the step
+    halves and the grid is summed again, up to _GRID_HALVINGS times.  Points
+    that still miss (their floor is above the tolerance, or the halvings
+    ran out) report honest error estimates rather than raising.
     """
     n = check_kernel_index(n)
     sigma_axis = np.asarray(sigma_axis, dtype=float)
@@ -967,67 +1027,56 @@ def eval_transform_grid(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray,
     sigma_max = float(np.abs(sigma_axis).max())
     w_max = float(np.abs(w_axis).max())
     tol = q.tol * magnitude_scale(n, sigma_axis)
-    edges, tails, rules = _half_line_rule(n, sigma_max, w_max, float(tol.min()))
-    while True:
-        R, I, E, share = _grid_sums(n, sigma_axis, w_axis, tol, tails[0], rules)
-        if share is None or edges.size - 1 >= _MAX_PANELS:
+    _guard_overflow(n, sigma_max)
+    X = truncation_radius(n, sigma_max, 0, 0.125 * float(tol.min()))
+    h = _grid_step(n, sigma_max, w_max, q.tol)
+    for _ in range(_GRID_HALVINGS + 1):
+        nodes = _grid_nodes(h, X)
+        tail = 3.0 * _tail_bound(n, sigma_max, 0, float(nodes[0][0, -1]))
+        R, I, E, short = _grid_sums(n, sigma_axis, w_axis, tol, tail, nodes)
+        if not short:
             return R, I, E
-        edges, tails, rules = _shared_rule(n, sigma_max, w_max, (0,), float(tol.min()),
-                                           _split_panels(edges, share))
+        h *= 0.5
+    return R, I, E
 
 
 def _grid_sums(n: int, sigma_axis: np.ndarray, w_axis: np.ndarray, tol: np.ndarray,
-               tail: float, rules):
-    """One pass of :func:`eval_transform_grid` on a half-line rule.
+               tail: float, nodes):
+    """One pass of :func:`eval_transform_grid` on the trapezoid ``nodes``.
 
-    The four (panels, rows, len(w_axis)) product outputs of a block of rows
-    are allocated once per pass.  Returns R, I and E, and the largest share
-    of each panel in the panel errors of the points with E above their row's
-    ``tol`` and panel errors above half of it (None if there are none).
+    Returns R, I and E, and whether some point has E above its row's
+    ``tol`` and |T_h - T_2h| above half of it.
     """
     nw = w_axis.size
     w_max = float(np.abs(w_axis).max())
-    trig = []
-    for t, _ in rules:
-        phase = t[:, :, None] * w_axis                          # (P, m, nw)
-        trig.append((np.cos(phase), np.sin(phase)))
-    panels = rules[1][0].shape[0]
+    t = nodes[0]
+    phase = t[:, :, None] * w_axis                              # (2, M, nw)
+    cos, sin = np.cos(phase), np.sin(phase)
 
     R = np.empty((sigma_axis.size, nw))
     I = np.empty_like(R)
     E = np.empty_like(R)
-    share = None
-    rows = min(sigma_axis.size, max(1, _GRID_CHUNK_ELEMS // (panels * nw)))
-    buffers = np.empty((4, panels * rows * nw))
+    short = False
+    rows = max(1, _GRID_CHUNK_ELEMS // (2 * nw))
     for r0 in range(0, sigma_axis.size, rows):
         s = sigma_axis[r0:r0 + rows]
-        c1, s1, c2, s2 = (b[:panels * s.size * nw].reshape(panels, s.size, nw)
-                          for b in buffers)                     # (P, rows, nw)
-        for rule, (cos, sin), (c, si) in zip(rules, trig, ((c1, s1), (c2, s2))):
-            a_c, a_s = _folded_amplitudes(n, s, rule)
-            np.matmul(a_c, cos, out=c)
-            np.matmul(a_s, sin, out=si)
+        a_c, a_s = _folded_amplitudes(n, s, nodes)
+        c = np.matmul(a_c, cos)                                 # (2, rows, nw): even, odd
+        si = np.matmul(a_s, sin)
         out = slice(r0, r0 + s.size)
-        np.sum(c2, axis=0, out=R[out])
-        np.sum(s2, axis=0, out=I[out])
-        c1 -= c2
-        s1 -= s2
-        np.abs(c1, out=c1)
-        np.abs(s1, out=s1)
-        c1 += s1
-        np.sum(c1, axis=0, out=E[out])
-        row_tol = tol[out, None]
-        coarse = E[out] > 0.5 * row_tol
-        # a_c is order 2p's, the last of the loop
-        E[out] += (tail + _grid_floor(n, s, w_max, rules[1][0], a_c))[:, None]
-        short = coarse & (E[out] > row_tol)
-        if short.any():
-            perr = c1[:, short]
-            block = (perr / perr.sum(axis=0)).max(axis=1)
-            share = block if share is None else np.maximum(share, block)
-    return R, I, E, share
-
-
+        np.add(c[0], c[1], out=R[out])
+        np.add(si[0], si[1], out=I[out])
+        diff, diff_i = c[1], si[1]                              # |T_h - T_2h|, in place
+        diff -= c[0]
+        diff_i -= si[0]
+        np.abs(diff, out=diff)
+        np.abs(diff_i, out=diff_i)
+        diff += diff_i
+        np.add(diff, (tail + _grid_floor(n, s, w_max, t, a_c))[:, None], out=E[out])
+        row_tol = np.broadcast_to(tol[out, None], diff.shape)
+        over = E[out] > row_tol
+        short = short or bool((diff[over] > 0.5 * row_tol[over]).any())
+    return R, I, E, short
 
 
 # Halvings of the saddle-line kernel's step before its estimate is reported

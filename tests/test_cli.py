@@ -204,6 +204,12 @@ def test_config_file_inline_form(capsys, tmp_path):
     ["verify", "--tol", "1e-6"],
     ["zeros", "--n", "2", "--wmax", "inf"],
     ["zeros", "--n", "2", "--wmax", "8", "--count", "-1"],
+    ["acoeff", "--n", "2", "--m-range", "0..2", "--w-grid", "0:inf:0.5"],
+    ["acoeff", "--n", "2", "--m-range", "0..2", "--w-grid", "0:nan:0.5"],
+    ["acoeff", "--n", "2", "--m-range", "0..2", "--w-grid", "0:1:nan"],
+    ["acoeff", "--n", "2", "--m-range", "0..2", "--w-grid", "0:1:inf"],
+    ["fieldlines", "--n", "2", "--window", "0:inf,0:1", "--resolution", "5x5"],
+    ["fieldlines", "--n", "2", "--window", "0:nan,0:1", "--resolution", "5x5"],
 ])
 def test_rejected_input_exit_code(capsys, argv):
     # a value the library rejects is an argument error: code 2, one line, no

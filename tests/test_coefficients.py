@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from supergauss import PlanePoint, QuadratureSpec, eval_transform, transform
 from supergauss.errors import ToleranceNotMetError
@@ -13,7 +12,6 @@ from supergauss.coefficients import (
     derivative_profile,
     l2_series,
     monotonicity_profile,
-    p_r_factor_identity_gap,
 )
 
 Q = QuadratureSpec(tol=1e-12)
@@ -191,14 +189,6 @@ def test_not_all_coefficients_zero():
     for w in (0.5, 3.45, 6.0):
         samples = a_coeff(2, list(range(5)), w, Q)
         assert any(s.value > s.err_estimate for s in samples)
-
-
-@settings(max_examples=60, deadline=None)
-@given(w=st.floats(-20, 20), sigma=st.floats(-10, 10),
-       alpha=st.floats(0.5, 50))
-def test_p_r_factor_identity(w, sigma, alpha):
-    scale = max(1.0, (w * w + sigma * sigma) ** 2 / alpha ** 4)
-    assert p_r_factor_identity_gap(w, sigma, alpha) <= 64 * np.finfo(float).eps * scale
 
 
 def test_cancellation_alarm_flags_error_dominated_sums():

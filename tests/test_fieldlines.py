@@ -111,6 +111,15 @@ def test_asymptote_samples():
         assert all(b < a for a, b in zip(ws, ws[1:]))
 
 
+@pytest.mark.parametrize("srange, wrange", [
+    ((0.0, math.inf), (0.0, 1.0)),
+    ((0.0, 1.0), (math.nan, 1.0)),
+])
+def test_sample_field_grid_rejects_non_finite_window(srange, wrange):
+    with pytest.raises(ValueError):
+        sample_field_grid(2, srange, wrange, (5, 5), Q)
+
+
 def test_asymptote_validation():
     with pytest.raises(ValueError):
         asymptote_curves(2, [0], [0.0, 1.0])

@@ -318,8 +318,8 @@ def test_grid_origin_values():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_grid_meets_its_tolerance_at_large_n(n):
-    # the default panels are too coarse for the steep edge of exp(-t^12):
-    # at n = 6 the first pass misses by ~6x, and split panels must mend it
+    # the steep edge of exp(-t^12) at n = 5 and 6: every row must still
+    # meet its tolerance and agree with the single-point kernel
     for sig, ws in ((np.array([0.0, 1.0]), np.array([-1.0, 0.0, 1.0])),
                     (np.linspace(0.0, 3.0, 4), np.linspace(0.0, 10.0, 6))):
         R, I, E = eval_transform_grid(n, sig, ws, Q)
@@ -331,19 +331,33 @@ def test_grid_meets_its_tolerance_at_large_n(n):
                 assert abs(complex(R[i, j], I[i, j]) - want.value) <= E[i, j] + want.err_estimate
 
 
-def test_grid_floor_bounds_its_rounding():
-    # against the same half-line rule summed in 30-digit arithmetic, the
-    # folded sums stay within the floor they report; at sigma = 1e-3 the
-    # sinh-like amplitude g (ep - em) cancels to ~1e-3 of its terms
+def _grid_passes(monkeypatch):
+    """Record the nodes of every pass of :func:`eval_transform_grid`."""
+    passes = []
+    real = transform._grid_sums
+
+    def spy(n, sigma_axis, w_axis, tol, tail, nodes):
+        passes.append(nodes)
+        return real(n, sigma_axis, w_axis, tol, tail, nodes)
+    monkeypatch.setattr(transform, "_grid_sums", spy)
+    return passes
+
+
+def test_grid_floor_bounds_its_rounding(monkeypatch):
+    # against the same trapezoid nodes and weights summed in 30-digit
+    # arithmetic, the folded sums stay within the floor they report; at
+    # sigma = 1e-3 the sinh-like amplitude g (ep - em) cancels to ~1e-3 of
+    # its terms
     mpmath = pytest.importorskip("mpmath")
+    passes = _grid_passes(monkeypatch)
     n, sig, ws = 2, np.array([0.0, 1e-3, 20.0]), np.linspace(-10.0, 10.0, 7)
     R, I, E = eval_transform_grid(n, sig, ws, Q)
     tol = Q.tol * magnitude_scale(n, sig)
-    _, _, rules = transform._half_line_rule(n, 20.0, 10.0, float(tol.min()))
-    a_c, _ = transform._folded_amplitudes(n, sig, rules[1])
-    floor = transform._grid_floor(n, sig, 10.0, rules[1][0], a_c)
+    nodes = passes[-1]
+    a_c, _ = transform._folded_amplitudes(n, sig, nodes)
+    floor = transform._grid_floor(n, sig, 10.0, nodes[0], a_c)
     assert (floor < 1e-3 * tol).all()
-    t, g = (a.ravel().tolist() for a in rules[1])
+    t, g = (a.ravel().tolist() for a in nodes)
     with mpmath.workdps(30):
         t4 = [mpmath.mpf(tj) ** (2 * n) for tj in t]
         for i, s in enumerate(sig.tolist()):
@@ -353,6 +367,25 @@ def test_grid_floor_bounds_its_rounding():
                 re = mpmath.fsum((p + m) * mpmath.cos(w * tj) for p, m, tj in zip(ep, em, t))
                 im = mpmath.fsum((p - m) * mpmath.sin(w * tj) for p, m, tj in zip(ep, em, t))
                 assert abs(R[i, j] - float(re)) + abs(I[i, j] - float(im)) <= floor[i]
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_grid_halves_a_step_that_is_too_coarse(monkeypatch, n):
+    # four times the derived step aliases; |T_h - T_2h| must see it and
+    # halve the step until every row meets its tolerance again
+    passes = _grid_passes(monkeypatch)
+    real = transform._grid_step
+    monkeypatch.setattr(transform, "_grid_step", lambda *args: 4.0 * real(*args))
+    sig, ws = np.linspace(0.0, 3.0, 4), np.linspace(-10.0, 10.0, 9)
+    R, I, E = eval_transform_grid(n, sig, ws, Q)
+    assert len(passes) > 1
+    assert passes[-1][0][0, 1] < passes[0][0][0, 1]
+    for i, s in enumerate(sig):
+        qs = Q.scaled(magnitude_scale(n, float(s)))
+        assert (E[i] <= qs.tol).all()
+        for j, w in enumerate(ws):
+            want = eval_transform(n, PlanePoint(float(w), float(s)), qs)
+            assert abs(complex(R[i, j], I[i, j]) - want.value) <= E[i, j] + want.err_estimate
 
 
 def _unfolded_grid(n, sigma_axis, w_axis, q):
@@ -444,6 +477,18 @@ def _quartic_series(mpmath, w, sigma):
                     and abs(lead) < mpmath.mpf(10) ** (-dps + 10):
                 return complex(f), complex(d1)
             p += 1
+
+
+def test_grid_within_its_estimate_of_quartic_series():
+    # n = 2 grid against the series oracle, rows up to a peak exponent of ~10
+    mpmath = pytest.importorskip("mpmath")
+    sig, ws = np.array([0.0, 0.5, 3.0, 10.0]), np.linspace(-10.0, 10.0, 9)
+    R, I, E = eval_transform_grid(2, sig, ws, Q)
+    assert (I[0] == 0.0).all()
+    for i, s in enumerate(sig.tolist()):
+        for j, w in enumerate(ws.tolist()):
+            want = _quartic_series(mpmath, w, s)[0]
+            assert abs(complex(R[i, j], I[i, j]) - want) <= E[i, j]
 
 
 @settings(max_examples=20, deadline=None)
