@@ -44,6 +44,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+# The most points a --w-grid may hold: each is a row of the acoeff table
+# per moment order, and far more than any table is meant to hold.
+_MAX_GRID_POINTS = 1_000_000
+
 
 def _write_out(path: str | None, text: str) -> None:
     if path is None or path == "-":
@@ -91,6 +95,10 @@ def _parse_grid(spec: str) -> list[float]:
         raise ValueError(f"grid bounds and step must be finite, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid {spec!r}")
+    if lo + step == lo:
+        raise ValueError(f"grid step {step!r} does not advance from {lo!r}")
+    if (hi - lo) / step >= _MAX_GRID_POINTS:
+        raise ValueError(f"grid {spec!r} holds more than {_MAX_GRID_POINTS} points")
     out = []
     k = 0
     while lo + k * step <= hi + 1e-12 * step:

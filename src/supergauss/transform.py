@@ -1164,11 +1164,30 @@ def _axis_tail(n: int, aw: np.ndarray, c: np.ndarray, X: np.ndarray,
                      for k in orders])
 
 
-def _axis_sums(n: int, aw: np.ndarray, c: np.ndarray, h: np.ndarray, J: int,
+def _sum_nodes(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a (nodes, points) array, each added top to bottom.
+
+    numpy reduces the outer axis of a row-major array row by row, which is
+    that order; a single column would be summed pairwise instead, so it
+    goes through a cumulative sum.  Zero rows at the bottom of a column
+    then leave its sum as it is.
+    """
+    if terms.shape[1] == 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return terms.sum(axis=0)
+
+
+def _axis_sums(n: int, aw: np.ndarray, c: np.ndarray, h: np.ndarray, J: np.ndarray,
                orders: tuple[int, ...]):
     """Trapezoid sums of :func:`eval_axis` on nodes x_j = j h, j = 0..J (J
-    even): the mantissas at steps h and 2h and the rounding floor, each of
-    shape (orders, points).
+    even, one per point): the mantissas at steps h and 2h and the rounding
+    floor, each of shape (orders, points).
+
+    The points share one (nodes, points) array of max(J) + 1 nodes, and a
+    point's terms past its own J are zeroed.  Each point's sums run from
+    x_0 outwards (:func:`_sum_nodes`), not pairwise, whose grouping would
+    depend on the node count, so the zeros add nothing and each point's
+    sums and floor are those it gets alone.
 
     The scaled terms are g_k = (x + ic)^k exp(rho + i phi), rho = -Re (x +
     ic)^(2n) - |w|c/2n, phi = |w| x - Im (x + ic)^(2n), weighted h/2 at x_0
@@ -1189,28 +1208,30 @@ def _axis_sums(n: int, aw: np.ndarray, c: np.ndarray, h: np.ndarray, J: int,
 
     of the exact sum on the nodes, in units of the computed e^s0.
     """
-    x = h[:, None] * np.arange(J + 1)
-    t2 = (x + 1j * c[:, None]) ** 2
+    j = np.arange(J.max() + 1)[:, None]
+    x = j * h
+    t2 = (x + 1j * c) ** 2
     t2n = t2
     for _ in range(n - 1):
         t2n = t2n * t2
     cw = aw * c
-    amp = np.exp(-t2n.real - (cw / (2 * n))[:, None])
-    amp[:, 0] *= 0.5
-    phase = aw[:, None] * x - t2n.imag
+    amp = np.exp(-t2n.real - cw / (2 * n))
+    amp[0] *= 0.5
+    amp[j > J] = 0.0
+    phase = aw * x - t2n.imag
     cos = np.cos(phase)
-    relative = (3 * n + 1) * np.abs(t2n) + 2.0 * aw[:, None] * x + (3.0 * cw + J + 16.0)[:, None]
+    relative = (3 * n + 1) * np.abs(t2n) + 2.0 * aw * x + (3.0 * cw + J + 16.0)
     weight = 2.0 * h
     fine, coarse, floor = (np.empty((len(orders), aw.size)) for _ in range(3))
     for i, k in enumerate(orders):
         if k:
-            terms = -amp * (x * np.sin(phase) + c[:, None] * cos)
-            size = amp * np.abs(x + 1j * c[:, None])
+            terms = -amp * (x * np.sin(phase) + c * cos)
+            size = amp * np.abs(x + 1j * c)
         else:
             terms, size = amp * cos, amp
-        fine[i] = weight * terms.sum(axis=1)
-        coarse[i] = 2.0 * weight * terms[:, ::2].sum(axis=1)
-        floor[i] = _EPS * weight * (size * relative).sum(axis=1)
+        fine[i] = weight * _sum_nodes(terms)
+        coarse[i] = 2.0 * weight * _sum_nodes(terms[::2])
+        floor[i] = _EPS * weight * _sum_nodes(size * relative)
     return fine, coarse, floor
 
 
@@ -1219,7 +1240,7 @@ def _axis_points(n: int, aw: np.ndarray, c: np.ndarray, h: np.ndarray, X: np.nda
     """Mantissas and error estimates of :func:`eval_axis` at steps ``h``:
     the points whose |T_h - T_2h| exceeds both tol/2 and their floor are
     taken again at half the step, up to ``halvings`` times."""
-    J = 2 * int(np.ceil(0.5 * (X / h).max()))
+    J = 2 * np.ceil(0.5 * X / h).astype(int)
     fine, coarse, floor = _axis_sums(n, aw, c, h, J, orders)
     diff = np.abs(fine - coarse)
     err = diff + 6.0 * _axis_tail(n, aw, c, J * h, orders) + floor
@@ -1241,16 +1262,17 @@ def eval_axis(n: int, w, tol: float, orders: tuple[int, ...] = (0,)):
     the real line.  The integrand is analytic and decays fast along that
     line, so the trapezoid rule converges geometrically (Trefethen &
     Weideman, SIAM Rev. 56 (2014) 385-458).  Each point takes its own step
-    (:func:`_axis_step`) and cut-off (:func:`_axis_cutoff`); a block of
-    points shares the largest node count, and the nodes of even index give
-    T_2h as well (:func:`_axis_sums`).  The error estimate of a mantissa is
-    |T_h - T_2h|, plus six times the tail bound beyond the cut-off (the
-    integral's tails and those of the two truncated sums, both sides;
-    :func:`_axis_tail`), plus the rounding floor.  The target is ``tol`` on
-    the mantissa, that is tol e^s0 on F: a point's step halves while its
-    |T_h - T_2h| exceeds both tol/2 and its floor, up to _AXIS_HALVINGS
-    times (:func:`_axis_points`); an estimate that still misses ``tol`` is
-    reported, not raised.
+    (:func:`_axis_step`) and cut-off (:func:`_axis_cutoff`), and the nodes
+    of even index give T_2h as well (:func:`_axis_sums`).  The points of a
+    call share one node array, yet each is summed to its own cut-off, so a
+    point's value and estimate are those it gets alone, to the bit.  The
+    error estimate of a mantissa is |T_h - T_2h|, plus six times the tail
+    bound beyond the cut-off (the integral's tails and those of the two
+    truncated sums, both sides; :func:`_axis_tail`), plus the rounding
+    floor.  The target is ``tol`` on the mantissa, that is tol e^s0 on F: a
+    point's step halves while its |T_h - T_2h| exceeds both tol/2 and its
+    floor, up to _AXIS_HALVINGS times (:func:`_axis_points`); an estimate
+    that still misses ``tol`` is reported, not raised.
 
     ``w`` is a scalar or a 1-D array (F is even: m_1 changes sign with w).
     Returns (m, s0, err), m and err of shape (len(orders), points) and s0

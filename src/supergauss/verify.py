@@ -267,8 +267,8 @@ def _branch_line_w(n: int, branch: int, sigma: float, q: QuadratureSpec) -> floa
     vals = eval_derivatives(n, (0,), sigma, grid, qs)[0][0].tolist()
     for i in range(40):
         if (vals[i] < 0) != (vals[i + 1] < 0):
-            return _illinois(lambda x: eval_transform(n, PlanePoint(x, sigma), qs).re,
-                             grid[i], grid[i + 1], vals[i], vals[i + 1])
+            return float(_illinois(lambda x: eval_derivatives(n, (0,), sigma, x, qs)[0][0],
+                                   grid[i], grid[i + 1], vals[i], vals[i + 1])[0])
     raise ArithmeticError(f"no field line crossing near branch {branch} at sigma={sigma}")
 
 

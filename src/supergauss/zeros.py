@@ -2,9 +2,11 @@
 
 For n >= 2 the transform has infinitely many simple real zeros.  The scanner
 samples F(w) at a fixed number of steps per asymptotic zero spacing
-(:func:`_default_step`), brackets sign changes, and refines each bracket by
-the Illinois method (:func:`_illinois`).  The derivative at each zero
-certifies simplicity.
+(:func:`_default_step`), brackets sign changes, and refines the brackets by
+the Illinois method (:func:`_illinois`), all at once: each round evaluates
+every active bracket's next point in one call.  One more call rescans every
+bracket at a 20x finer step, and one takes F and F' at every zero.  The
+derivative at each zero certifies simplicity.
 
 Every evaluation of a scan goes through the saddle-line kernel
 :func:`supergauss.transform.eval_axis`, which returns F as a mantissa m of
@@ -63,10 +65,12 @@ class ZeroRecord:
 
 
 # The version of the scan's tables: it names the runtime cache's files, so a
-# change to the scan that can move a table's bytes must raise it.  Version 2
-# scans on the saddle line (:func:`eval_axis`); version 1 scanned on the
-# real line and wrote files with no version in their names.
-SCAN_VERSION = 2
+# change to the scan that can move a table's bytes must raise it.  Version 3
+# refines all brackets of a scan together, on an :func:`eval_axis` that sums
+# each point's nodes outwards from the saddle-line origin; version 2 refined
+# one bracket at a time, with numpy's pairwise sums; version 1 scanned on
+# the real line and wrote files with no version in their names.
+SCAN_VERSION = 3
 
 # Zero tables (the runtime cache and the packaged pool) are CSV files with
 # this header and ascending indices.  Floats are written with repr (shortest
@@ -145,41 +149,51 @@ def _axis_values(n: int, ws, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]
     return m[0], err[0]
 
 
-def _illinois(f, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Root of f in the sign-change bracket (lo, hi) by the Illinois method.
+def _illinois(f, lo, hi, flo, fhi) -> np.ndarray:
+    """Roots of f in the sign-change brackets (lo[i], hi[i]) by the Illinois
+    method, all brackets at once.
 
-    Each step evaluates f at the secant point of the bracket and keeps the
-    half that still changes sign.  When the same end survives twice running,
-    its stored value is halved, so the far end moves too instead of staying
-    fixed as in plain regula falsi.  Stops one step after the bracket first
-    gets narrower than 1e-12 * max(1, |hi|), or once f vanishes, and returns
-    the evaluated point with the smallest |f| (an end of the original
-    bracket if no step beat it).  The width test alone can pass with |f| at
-    both ends still above the noise of f, and the secant point of that
-    narrow bracket is then much closer to the root than either end.
+    ``f`` maps a 1-D array of points to their values.  Each round calls it
+    once, on the secant points of the brackets still active.  A bracket
+    keeps the half that still changes sign; when the same end survives
+    twice running, its stored value is halved, so the far end moves too
+    instead of staying fixed as in plain regula falsi.  A secant point
+    outside its open bracket falls back to the midpoint.  A bracket stops
+    one step after it first gets narrower than 1e-12 * max(1, |hi|), or
+    once f vanishes, and returns the evaluated point with the smallest |f|
+    (an end of the original bracket if no step beat it).  The width test
+    alone can pass with |f| at both ends still above the noise of f, and
+    the secant point of that narrow bracket is then much closer to the root
+    than either end.  Each bracket takes the same steps as it would alone.
     """
-    best, fbest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-    kept = 0
+    lo, hi, flo, fhi = (np.array(a, dtype=float, ndmin=1) for a in (lo, hi, flo, fhi))
+    at_lo = np.abs(flo) <= np.abs(fhi)
+    best, fbest = np.where(at_lo, lo, hi), np.where(at_lo, flo, fhi)
+    kept = np.zeros(lo.size, dtype=int)  # -1: lo moved last, 1: hi moved last
+    active = np.arange(lo.size)
     for _ in range(100):
-        narrow = hi - lo <= 1e-12 * max(1.0, abs(hi))
-        x = lo - flo * (hi - lo) / (fhi - flo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if abs(fx) < abs(fbest):
-            best, fbest = x, fx
-        if fx == 0.0 or narrow:
+        if not active.size:
             break
-        if (fx < 0) == (flo < 0):
-            lo, flo = x, fx
-            if kept == -1:
-                fhi *= 0.5
-            kept = -1
-        else:
-            hi, fhi = x, fx
-            if kept == 1:
-                flo *= 0.5
-            kept = 1
+        a, b, fa, fb = lo[active], hi[active], flo[active], fhi[active]
+        narrow = b - a <= 1e-12 * np.maximum(1.0, np.abs(b))
+        x = a - fa * (b - a) / (fb - fa)
+        outside = ~((a < x) & (x < b))
+        x[outside] = 0.5 * (a[outside] + b[outside])
+        fx = np.asarray(f(x), dtype=float)
+        better = np.abs(fx) < np.abs(fbest[active])
+        best[active[better]] = x[better]
+        fbest[active[better]] = fx[better]
+        go = ~((fx == 0.0) | narrow)
+        move_lo = go & ((fx < 0) == (fa < 0))
+        move_hi = go & ~move_lo
+        i_lo, i_hi = active[move_lo], active[move_hi]
+        lo[i_lo], flo[i_lo] = x[move_lo], fx[move_lo]
+        fhi[i_lo[kept[i_lo] == -1]] *= 0.5
+        kept[i_lo] = -1
+        hi[i_hi], fhi[i_hi] = x[move_hi], fx[move_hi]
+        flo[i_hi[kept[i_hi] == 1]] *= 0.5
+        kept[i_hi] = 1
+        active = active[go]
     return best
 
 
@@ -188,15 +202,19 @@ def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec) -> list[ZeroRecord]
 
     Samples, Illinois steps, the confirming rescans and each record's F and
     F' come from :func:`eval_axis`, at tolerance q.tol on the mantissa (tol
-    e^s0 on F).  Brackets are kept only where both endpoint mantissas clear
+    e^s0 on F), each stage batched over all brackets: one call per Illinois
+    round (:func:`_illinois`), one for every rescan and one for F and F' at
+    every zero.  Brackets are kept only where both endpoint mantissas clear
     their error estimates by _SIGN_MARGIN.  Each refined zero is re-checked
-    by a local rescan at a 20x finer step; a bracket that splits in two
-    raises :class:`SuspiciousBracketError` after the finer rescan disagrees
-    too.  The last bracket may straddle w_max; a zero refined past it is
-    dropped, so the result is exactly the certified zeros in (0, w_max].
-    The list also stops at the first zero whose F' = m e^s0 underflows
-    float64 (near w = 420 at n = 2).  A w_max that is not positive and
-    finite raises ValueError.
+    by a local rescan at a 20x finer step (:func:`_confirm_single_crossing`).
+    The result is what a bracket-by-bracket scan gives: the brackets are
+    taken in order, a zero refined past w_max ends the table (the last
+    bracket may straddle w_max), so it holds exactly the certified zeros in
+    (0, w_max]; the first bracket whose rescan finds two crossings raises
+    :class:`SuspiciousBracketError`; and the table stops at the first zero
+    whose F' = m e^s0 underflows float64 (near w = 420 at n = 2).  A
+    bracket past the point where the table ends never raises.  A w_max that
+    is not positive and finite raises ValueError.
     """
     n = check_kernel_index(n)
     if not (w_max > 0 and math.isfinite(w_max)):
@@ -207,37 +225,47 @@ def scan_real_zeros(n: int, w_max: float, q: QuadratureSpec) -> list[ZeroRecord]
     # bracket between consecutive sign-reliable samples; samples inside the
     # noise band (for example right next to a zero) are skipped over
     reliable = np.nonzero(np.abs(m) > _SIGN_MARGIN * err)[0]
-    records: list[ZeroRecord] = []
-    idx = 1
-    for a, b in zip(reliable, reliable[1:]):
-        if (m[a] < 0) == (m[b] < 0):
-            continue
-        alpha = _illinois(lambda x: float(_axis_values(n, x, q)[0][0]),
-                          float(ws[a]), float(ws[b]), float(m[a]), float(m[b]))
-        if alpha > w_max:
-            break
-        _confirm_single_crossing(n, float(ws[a]), float(ws[b]), q)
-        f, s0, e = eval_axis(n, alpha, q.tol, (0, 1))
-        scale = math.exp(s0[0])
-        if f[1, 0] * scale == 0.0:
-            break
-        records.append(ZeroRecord(n=n, index=idx, alpha=alpha, f_prime=float(f[1, 0] * scale),
-                                  residual=float((abs(f[0, 0]) + e[0, 0]) * scale)))
-        idx += 1
-    return records
+    a, b = reliable[:-1], reliable[1:]
+    crossing = (m[a] < 0) != (m[b] < 0)
+    a, b = a[crossing], b[crossing]
+    alphas = _illinois(lambda x: _axis_values(n, x, q)[0], ws[a], ws[b], m[a], m[b])
+    inside = _first(alphas > w_max)
+    lo, hi, alphas = ws[a[:inside]], ws[b[:inside]], alphas[:inside]
+    if not alphas.size:
+        return []
+    f, s0, e = eval_axis(n, alphas, q.tol, (0, 1))
+    # math.exp, as for one zero at a time: np.exp can differ in the last bit
+    scale = np.array([math.exp(v) for v in s0.tolist()])
+    f_prime = f[1] * scale
+    stop = _first(f_prime == 0.0)
+    # a zero whose F' underflows still has its bracket checked, as the
+    # brackets before it do
+    checked = min(stop + 1, alphas.size)
+    _confirm_single_crossing(n, lo[:checked], hi[:checked], q)
+    residual = (np.abs(f[0]) + e[0]) * scale
+    return [ZeroRecord(n=n, index=i + 1, alpha=float(alphas[i]), f_prime=float(f_prime[i]),
+                       residual=float(residual[i])) for i in range(stop)]
 
 
-def _confirm_single_crossing(n: int, lo: float, hi: float, q: QuadratureSpec) -> None:
-    fine = np.linspace(lo, hi, 21)
-    m, err = _axis_values(n, fine, q)
-    flips = 0
-    for i in range(20):
-        if np.abs(m[i]) > _SIGN_MARGIN * err[i] and np.abs(m[i + 1]) > _SIGN_MARGIN * err[i + 1] \
-                and (m[i] < 0) != (m[i + 1] < 0):
-            flips += 1
-    if flips > 1:
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in ``mask``, or its length if there is none."""
+    return int(np.argmax(mask)) if mask.any() else mask.size
+
+
+def _confirm_single_crossing(n: int, lo, hi, q: QuadratureSpec) -> None:
+    """Rescan each bracket (lo[i], hi[i]) at 21 points, all in one
+    :func:`eval_axis` call, and raise :class:`SuspiciousBracketError` for
+    the first one that holds more than one sign-reliable crossing."""
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    fine = np.linspace(lo, hi, 21, axis=1)
+    m, err = (v.reshape(fine.shape) for v in _axis_values(n, fine.ravel(), q))
+    sure = np.abs(m) > _SIGN_MARGIN * err
+    flips = (sure[:, :-1] & sure[:, 1:] & ((m[:, :-1] < 0) != (m[:, 1:] < 0))).sum(axis=1)
+    bad = np.nonzero(flips > 1)[0]
+    if bad.size:
+        i = bad[0]
         raise SuspiciousBracketError(
-            f"bracket ({lo}, {hi}) for n={n} contains {flips} crossings; "
+            f"bracket ({lo[i]}, {hi[i]}) for n={n} contains {flips[i]} crossings; "
             "rescan with a finer base step")
 
 

@@ -210,6 +210,8 @@ def test_config_file_inline_form(capsys, tmp_path):
     ["acoeff", "--n", "2", "--m-range", "0..2", "--w-grid", "0:1:inf"],
     ["fieldlines", "--n", "2", "--window", "0:inf,0:1", "--resolution", "5x5"],
     ["fieldlines", "--n", "2", "--window", "0:nan,0:1", "--resolution", "5x5"],
+    ["acoeff", "--n", "2", "--m-range", "0..2", "--w-grid", "1e300:1e300:1e-300"],
+    ["acoeff", "--n", "2", "--m-range", "0..2", "--w-grid", "0:1e12:1e-3"],
 ])
 def test_rejected_input_exit_code(capsys, argv):
     # a value the library rejects is an argument error: code 2, one line, no

@@ -832,6 +832,21 @@ def test_axis_kernel_agrees_with_exact_kernel(n):
     assert (np.abs(m * scale - re) <= err * scale + err_exact).all()
 
 
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_axis_kernel_point_same_alone_or_in_a_batch(n):
+    # each point is summed to its own cut-off, from x_0 outwards, so the
+    # other points of a call (and their larger node counts) leave its
+    # mantissas and estimates unchanged to the bit
+    w = np.array([0.0, 0.3, 2.5, 9.0, 31.0, 77.5, 150.0])
+    m, s0, err = transform.eval_axis(n, w, 1e-12, (0, 1))
+    for i, wi in enumerate(w):
+        for batch in ([wi], [wi, 150.0], [0.0, wi]):
+            mb, sb, eb = transform.eval_axis(n, batch, 1e-12, (0, 1))
+            k = batch.index(wi)
+            assert sb[k] == s0[i]
+            assert np.array_equal(mb[:, k], m[:, i]) and np.array_equal(eb[:, k], err[:, i])
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_axis_kernel_halves_a_step_that_is_too_coarse(monkeypatch, n):
     # a step of 0.02 aliases at n = 5 and 6; |T_h - T_2h| must see it and

@@ -51,6 +51,121 @@ def test_scan_matches_dense_step_scan(monkeypatch, n, w_max, tol):
         assert abs(a.alpha - b.alpha) <= (a.residual + b.residual) / abs(a.f_prime)
 
 
+def _reference_illinois(f, lo, hi, flo, fhi):
+    """The scalar Illinois method the batched solver replaced (the reference):
+    one bracket, one point of f per step, the same steps and stopping rule."""
+    best, fbest = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+    kept = 0
+    for _ in range(100):
+        narrow = hi - lo <= 1e-12 * max(1.0, abs(hi))
+        x = lo - flo * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) < abs(fbest):
+            best, fbest = x, fx
+        if fx == 0.0 or narrow:
+            break
+        if (fx < 0) == (flo < 0):
+            lo, flo = x, fx
+            if kept == -1:
+                fhi *= 0.5
+            kept = -1
+        else:
+            hi, fhi = x, fx
+            if kept == 1:
+                flo *= 0.5
+            kept = 1
+    return best
+
+
+def _reference_scan(n, w_max, q):
+    """The bracket-by-bracket scan the batched one replaced (the reference):
+    each bracket refined, rescanned and recorded on its own, with one-point
+    :func:`eval_axis` calls."""
+    ws = zeros._scan_grid(n, w_max)
+    m, err = zeros._axis_values(n, ws, q)
+    reliable = np.nonzero(np.abs(m) > zeros._SIGN_MARGIN * err)[0]
+    records = []
+    for a, b in zip(reliable, reliable[1:]):
+        if (m[a] < 0) == (m[b] < 0):
+            continue
+        alpha = _reference_illinois(lambda x: float(zeros._axis_values(n, x, q)[0][0]),
+                                    float(ws[a]), float(ws[b]), float(m[a]), float(m[b]))
+        if alpha > w_max:
+            break
+        zeros._confirm_single_crossing(n, float(ws[a]), float(ws[b]), q)
+        f, s0, e = zeros.eval_axis(n, alpha, q.tol, (0, 1))
+        scale = math.exp(s0[0])
+        if f[1, 0] * scale == 0.0:
+            break
+        records.append(ZeroRecord(n=n, index=len(records) + 1, alpha=alpha,
+                                  f_prime=float(f[1, 0] * scale),
+                                  residual=float((abs(f[0, 0]) + e[0, 0]) * scale)))
+    return records
+
+
+@pytest.mark.parametrize("n, w_max, tol", [(n, 30.0, 1e-10) for n in range(2, 7)]
+                         + [(2, 80.0, 1e-12)])
+def test_scan_matches_per_bracket_reference(n, w_max, tol):
+    # refining all brackets together takes each bracket's own Illinois steps,
+    # and an eval_axis point is the same alone or in a batch, so the records
+    # are the reference's to the bit (within the summed distance residual /
+    # |F'| that both certify, a fortiori)
+    q = QuadratureSpec(tol=tol)
+    recs = scan_real_zeros(n, w_max, q)
+    ref = _reference_scan(n, w_max, q)
+    assert len(recs) == len(ref) > 0
+    for a, b in zip(recs, ref):
+        assert a.index == b.index
+        assert abs(a.alpha - b.alpha) <= (a.residual + b.residual) / abs(a.f_prime)
+    assert recs == ref
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_illinois_takes_each_brackets_scalar_steps(n):
+    # in a batch, every bracket is evaluated at the points, in the order,
+    # that the scalar solver evaluates it at alone, and ends at its root
+    ws = zeros._scan_grid(n, 30.0)
+    m, err = zeros._axis_values(n, ws, Q)
+    reliable = np.nonzero(np.abs(m) > zeros._SIGN_MARGIN * err)[0]
+    a, b = reliable[:-1], reliable[1:]
+    crossing = (m[a] < 0) != (m[b] < 0)
+    a, b = a[crossing], b[crossing]
+    lo = ws[a]
+    seen = [[] for _ in a]
+
+    def batch(x):
+        for v in x.tolist():
+            seen[np.searchsorted(lo, v) - 1].append(v)
+        return zeros._axis_values(n, x, Q)[0]
+    roots = zeros._illinois(batch, ws[a], ws[b], m[a], m[b])
+    assert len(a) >= 9
+    for i in range(len(a)):
+        steps = []
+
+        def alone(x):
+            steps.append(x)
+            return float(zeros._axis_values(n, x, Q)[0][0])
+        root = _reference_illinois(alone, float(ws[a[i]]), float(ws[b[i]]),
+                                   float(m[a[i]]), float(m[b[i]]))
+        assert seen[i] == steps and roots[i] == root
+
+
+def test_scan_batches_its_axis_calls(monkeypatch):
+    # one eval_axis call for the samples, one per Illinois round, one for
+    # the rescans and one for F and F': not one call per step of each bracket
+    calls = []
+    real = zeros.eval_axis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(zeros, "eval_axis", counted)
+    assert len(scan_real_zeros(2, 80.0, QuadratureSpec(tol=1e-12))) >= 44
+    assert len(calls) <= 30
+
+
 def _samples_per_gap(n, alphas):
     """Scan samples strictly inside each gap (0, alpha_1), (alpha_1, alpha_2), ..."""
     ws = zeros._scan_grid(n, alphas[-1])
@@ -252,7 +367,30 @@ def test_bracket_with_two_crossings_is_suspicious():
     from supergauss.zeros import _confirm_single_crossing
 
     # (3, 7.5) straddles both alpha_1 and alpha_2: a scan bracket this wide
-    # must be flagged rather than silently refined to one root
-    with pytest.raises(SuspiciousBracketError):
-        _confirm_single_crossing(2, 3.0, 7.5, Q)
-    _confirm_single_crossing(2, 3.0, 4.0, Q)  # single crossing is fine
+    # must be flagged rather than silently refined to one root.  The batch
+    # names its first such bracket, not (8, 13), which also holds two.
+    with pytest.raises(SuspiciousBracketError, match=r"bracket \(3\.0, 7\.5\)"):
+        _confirm_single_crossing(2, [1.0, 3.0, 8.0], [4.0, 7.5, 13.0], Q)
+    # single crossings are fine, alone or in a batch
+    _confirm_single_crossing(2, 3.0, 4.0, Q)
+    _confirm_single_crossing(2, [1.0, 3.0, 8.0, 11.0], [4.0, 4.0, 10.0, 13.0], Q)
+
+
+@pytest.mark.parametrize("branch, sigma", [(0, 10.0), (2, 30.0), (3, 10.0)])
+def test_one_bracket_illinois_matches_scalar_solver(branch, sigma):
+    # C9's branch lines refine a single bracket; the batched solver takes
+    # the scalar solver's steps there and returns its root to the bit
+    from supergauss import eval_transform
+    from supergauss.fieldlines import asymptote_w
+    from supergauss.transform import eval_derivatives, magnitude_scale
+    from supergauss.verify import _branch_line_w
+
+    wa = asymptote_w(2, branch, sigma)
+    spacing = asymptote_w(2, 0, sigma) * 2.0
+    qs = Q.scaled(magnitude_scale(2, sigma))
+    grid = np.linspace(wa - 0.45 * spacing, wa + 0.45 * spacing, 41).tolist()
+    vals = eval_derivatives(2, (0,), sigma, grid, qs)[0][0].tolist()
+    i = next(i for i in range(40) if (vals[i] < 0) != (vals[i + 1] < 0))
+    root = _reference_illinois(lambda x: eval_transform(2, PlanePoint(x, sigma), qs).re,
+                               grid[i], grid[i + 1], vals[i], vals[i + 1])
+    assert _branch_line_w(2, branch, sigma, Q) == root
